@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import evaluate, fusion, model, synth, train as training
-from .config import ConfigError, RunConfig, apply_setting, load_config
+from .config import ConfigError, RunConfig, load_config
 from .pgm import read_pgm, write_pgm
 from .synth import DatasetError
 from .tensor import Tensor, save_tensors
@@ -28,15 +28,7 @@ def _run_config(args) -> RunConfig:
     overrides = list(getattr(args, "set", None) or [])
     if getattr(args, "seed", None) is not None:
         overrides.append(f"seed={args.seed}")
-    if getattr(args, "config", None):
-        return load_config(args.config, overrides)
-    cfg = RunConfig()
-    for item in overrides:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        apply_setting(cfg, key.strip(), value.strip())
-    return cfg.validate()
+    return load_config(getattr(args, "config", None), overrides)
 
 
 def cmd_synth(args) -> int:
@@ -103,15 +95,10 @@ def _overlay(frame: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 def cmd_infer(args) -> int:
+    cfg = _run_config(args)
     params, model_cfg = model.load_model(args.ckpt)
     if args.config:
-        cfg = _run_config(args)
         model.check_config_match(model_cfg, cfg.model)
-    else:
-        cfg = RunConfig()
-        cfg.model = model_cfg
-        cfg.validate()
-        cfg.model.cbam_enabled = model_cfg.cbam_enabled
     frames = synth.load_frames(args.data)
     os.makedirs(args.out, exist_ok=True)
     scale = frames.shape[1] / model_cfg.input_size
@@ -130,23 +117,29 @@ def cmd_infer(args) -> int:
 
 
 def read_keypoints_csv(path) -> np.ndarray:
-    rows: dict[int, dict[int, tuple]] = {}
+    """(frames, k, 2) keypoints; every frame must list slots 0..k-1 once each."""
+    rows: dict[int, list] = {}
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip()
         if header != "frame,slot,row,col":
             raise DatasetError(f"{path}: unexpected header {header!r}")
-        for line in f:
-            t, slot, r, c = line.strip().split(",")
-            rows.setdefault(int(t), {})[int(slot)] = (float(r), float(c))
+        for lineno, line in enumerate(f, 2):
+            try:
+                t, slot, r, c = line.strip().split(",")
+                t, slot, rc = int(t), int(slot), (float(r), float(c))
+            except ValueError:
+                raise DatasetError(
+                    f"{path}:{lineno}: malformed line {line.strip()!r}") from None
+            rows.setdefault(t, []).append((slot, rc))
     if not rows:
         raise DatasetError(f"{path}: no keypoints")
     frames = sorted(rows)
     k = len(rows[frames[0]])
-    out = np.zeros((len(frames), k, 2))
-    for i, t in enumerate(frames):
-        for slot, rc in rows[t].items():
-            out[i, slot] = rc
-    return out
+    for t in frames:
+        slots = sorted(slot for slot, _ in rows[t])
+        if slots != list(range(k)):
+            raise DatasetError(f"{path}: frame {t} has slots {slots}, expected 0..{k - 1}")
+    return np.array([[rc for _, rc in sorted(rows[t])] for t in frames])
 
 
 def cmd_eval(args) -> int:
@@ -155,6 +148,9 @@ def cmd_eval(args) -> int:
     if not os.path.exists(truth_path):
         raise DatasetError(f"missing truth file {truth_path}")
     truth = synth.load_truth(truth_path)
+    if len(keypoints) != len(truth):
+        raise DatasetError(f"{args.pred}: {len(keypoints)} prediction frames "
+                           f"vs {len(truth)} truth records")
     report = evaluate.evaluate(keypoints, truth, delta=args.delta)
     evaluate.write_report(args.out, report)
     evaluate.write_frame_csv(os.path.splitext(args.out)[0] + "_frames.csv",

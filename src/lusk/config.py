@@ -165,13 +165,16 @@ def parse_config(text: str, source: str = "<config>",
     return cfg
 
 
-def load_config(path, overrides=()) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = parse_config(text, source=str(path))
+def load_config(path=None, overrides=()) -> RunConfig:
+    """Defaults, then the file at `path` (if any), then key=value overrides."""
+    cfg = RunConfig()
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        cfg = parse_config(text, source=str(path))
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:

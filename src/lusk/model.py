@@ -50,15 +50,6 @@ class ModelConfig:
         return 2 * self.base_channels
 
 
-@dataclass
-class KeypointSet:
-    """Keypoints in normalized [-1,1] feature coordinates plus heatmaps."""
-
-    coords: np.ndarray    # (k, 2) as (row, col)
-    heatmaps: np.ndarray  # (k, h, w), peak 1 at each keypoint
-    combined: np.ndarray  # (h, w) in [0, 1]
-
-
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     data = rng.uniform(-limit, limit, size=shape).astype(np.float32)
@@ -91,8 +82,17 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
         _cbam_params(rng, params, "encoder.cbam1", c1)
         _cbam_params(rng, params, "encoder.cbam2", c2)
     _conv_param(rng, params, "keynet.head", cfg.k, c2, 1)
-    _conv_param(rng, params, "refine.conv1", c1, c2, 3)
-    _conv_param(rng, params, "refine.conv2", cfg.input_channels, c1, 3)
+    return init_refine_params(cfg, rng, params)
+
+
+def init_refine_params(cfg: ModelConfig, rng: np.random.Generator,
+                       params: dict[str, Tensor] | None = None,
+                       prefix: str = "refine") -> dict[str, Tensor]:
+    """Add the two decoder convolutions read by refine() under `prefix`."""
+    c1, c2 = cfg.base_channels, cfg.feature_channels
+    params = {} if params is None else params
+    _conv_param(rng, params, f"{prefix}.conv1", c1, c2, 3)
+    _conv_param(rng, params, f"{prefix}.conv2", cfg.input_channels, c1, 3)
     return params
 
 
@@ -115,8 +115,9 @@ def cbam(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return x * sgate
 
 
-def _stage(x, params, name, cfg, with_cbam=None):
-    h = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=2, padding=1)
+def _stage(x, params, name, cfg, with_cbam=None, stride=2):
+    """3x3 conv, instance norm (if enabled), ReLU, then optional CBAM."""
+    h = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=stride, padding=1)
     if cfg.normalize:
         h = instance_norm(h)
     h = h.relu()
@@ -195,18 +196,17 @@ def transport(phi_s: Tensor, phi_t: Tensor, h_s: Tensor, h_t: Tensor) -> Tensor:
     return (1.0 - h_s) * (1.0 - h_t) * phi_s + h_t * phi_t
 
 
-def refine(phi: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+def refine(phi: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
+           prefix: str = "refine") -> Tensor:
     """Decoder: two upsample-2x stages back to input resolution, sigmoid
-    output in [0, 1] with exactly input_channels channels."""
+    output in [0, 1] with exactly input_channels channels. Pretraining
+    runs the same decoder on its own parameters under another prefix."""
     if phi.ndim != 4 or phi.shape[1] != cfg.feature_channels:
         raise ShapeError("refine", phi.shape, (-1, cfg.feature_channels, -1, -1))
     h = upsample_nearest2x(phi)
-    h = conv2d(h, params["refine.conv1.w"], params["refine.conv1.b"], padding=1)
-    if cfg.normalize:
-        h = instance_norm(h)
-    h = h.relu()
+    h = _stage(h, params, f"{prefix}.conv1", cfg, stride=1)
     h = upsample_nearest2x(h)
-    h = conv2d(h, params["refine.conv2.w"], params["refine.conv2.b"], padding=1)
+    h = conv2d(h, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"], padding=1)
     return h.sigmoid()
 
 
@@ -224,16 +224,6 @@ def reconstruct(stack_s: Tensor, stack_t: Tensor, params: dict[str, Tensor],
 def cell_to_pixel(cell: np.ndarray, stride: int) -> np.ndarray:
     """Feature-grid cell coordinate to image pixel, center-of-cell."""
     return cell * stride + stride / 2.0
-
-
-def cell_to_normalized(cell: np.ndarray, grid_size: int) -> np.ndarray:
-    return 2.0 * (cell + 0.5) / grid_size - 1.0
-
-
-def keypoint_set(coords_cells: np.ndarray, heatmaps: np.ndarray,
-                 combined: np.ndarray, grid_size: int) -> KeypointSet:
-    return KeypointSet(coords=cell_to_normalized(coords_cells, grid_size),
-                       heatmaps=heatmaps, combined=combined)
 
 
 def preprocess_frame(frame: np.ndarray, cfg: ModelConfig,

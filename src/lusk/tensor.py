@@ -35,6 +35,14 @@ def _as_array(data, dtype=None):
     return a.astype(np.float32)
 
 
+def _op(data, parents, backward) -> "Tensor":
+    """The output of an op: linked to its parents and backward closure only
+    when some parent needs a gradient or carries a graph itself."""
+    if any(p.requires_grad or p._parents for p in parents):
+        return Tensor(data, parents=parents, backward=backward)
+    return Tensor(data)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcasted gradient back down to the original shape."""
     while grad.ndim > len(shape):
@@ -86,9 +94,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return stop_gradient(self)
-
     # -- graph construction helpers -------------------------------------------
 
     @staticmethod
@@ -96,11 +101,6 @@ class Tensor:
         if isinstance(value, Tensor):
             return value
         return Tensor(np.asarray(value, dtype=like.dtype))
-
-    def _make(self, data, parents, backward):
-        req = any(p.requires_grad or p._parents for p in parents)
-        return Tensor(data, requires_grad=False, parents=parents if req else (),
-                      backward=backward if req else None)
 
     def _accumulate(self, g: np.ndarray):
         if self.requires_grad or self._parents:
@@ -116,14 +116,12 @@ class Tensor:
             out_data = fwd(self.data, other.data)
         except ValueError:
             raise ShapeError(op_name, self.shape, other.shape)
-        out = self._make(out_data, (self, other), None)
 
         def backward(g):
             self._accumulate(_unbroadcast(bwd_a(g, self.data, other.data), self.shape))
             other._accumulate(_unbroadcast(bwd_b(g, self.data, other.data), other.shape))
 
-        out._backward = backward if out._parents else None
-        return out
+        return _op(out_data, (self, other), backward)
 
     def __add__(self, other):
         return self._binary(other, "add", np.add,
@@ -157,13 +155,11 @@ class Tensor:
 
     def __pow__(self, exponent: float):
         p = float(exponent)
-        out = self._make(self.data ** p, (self,), None)
 
         def backward(g):
             self._accumulate(g * p * self.data ** (p - 1.0))
 
-        out._backward = backward if out._parents else None
-        return out
+        return _op(self.data ** p, (self,), backward)
 
     def sqrt(self):
         return self ** 0.5
@@ -172,43 +168,29 @@ class Tensor:
 
     def exp(self):
         e = np.exp(self.data)
-        out = self._make(e, (self,), None)
-        out._backward = (lambda g: self._accumulate(g * e)) if out._parents else None
-        return out
+        return _op(e, (self,), lambda g: self._accumulate(g * e))
 
     def relu(self):
-        out = self._make(np.maximum(self.data, 0.0), (self,), None)
         mask = self.data > 0
-        out._backward = (lambda g: self._accumulate(g * mask)) if out._parents else None
-        return out
+        return _op(np.maximum(self.data, 0.0), (self,), lambda g: self._accumulate(g * mask))
 
     def sigmoid(self):
         s = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make(s, (self,), None)
-        out._backward = (lambda g: self._accumulate(g * s * (1.0 - s))) if out._parents else None
-        return out
+        return _op(s, (self,), lambda g: self._accumulate(g * s * (1.0 - s)))
 
     def clamp(self, lo: float, hi: float):
-        out = self._make(np.clip(self.data, lo, hi), (self,), None)
         mask = (self.data >= lo) & (self.data <= hi)
-        out._backward = (lambda g: self._accumulate(g * mask)) if out._parents else None
-        return out
+        return _op(np.clip(self.data, lo, hi), (self,), lambda g: self._accumulate(g * mask))
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), None)
-
         def backward(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        out._backward = backward if out._parents else None
-        return out
+        return _op(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -219,9 +201,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def max(self, axis=None, keepdims=False):
-        m = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make(m, (self,), None)
-
         def backward(g):
             mk = self.data.max(axis=axis, keepdims=True)
             mask = self.data == mk
@@ -230,8 +209,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.shape) * mask / count)
 
-        out._backward = backward if out._parents else None
-        return out
+        return _op(self.data.max(axis=axis, keepdims=keepdims), (self,), backward)
 
     # -- shape manipulation -----------------------------------------------------
 
@@ -239,16 +217,8 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         old = self.shape
-        out = self._make(self.data.reshape(shape), (self,), None)
-        out._backward = (lambda g: self._accumulate(g.reshape(old))) if out._parents else None
-        return out
-
-    def transpose2d(self):
-        if self.ndim != 2:
-            raise ShapeError("transpose2d", self.shape)
-        out = self._make(self.data.T.copy(), (self,), None)
-        out._backward = (lambda g: self._accumulate(g.T)) if out._parents else None
-        return out
+        return _op(self.data.reshape(shape), (self,),
+                   lambda g: self._accumulate(g.reshape(old)))
 
     # -- matrix multiply ---------------------------------------------------------
 
@@ -256,14 +226,12 @@ class Tensor:
         other = Tensor._lift(other, self)
         if self.ndim != 2 or other.ndim != 2 or self.shape[1] != other.shape[0]:
             raise ShapeError("matmul", self.shape, other.shape)
-        out = self._make(self.data @ other.data, (self, other), None)
 
         def backward(g):
             self._accumulate(g @ other.data.T)
             other._accumulate(self.data.T @ g)
 
-        out._backward = backward if out._parents else None
-        return out
+        return _op(self.data @ other.data, (self, other), backward)
 
     __matmul__ = matmul
 
@@ -306,22 +274,17 @@ def stop_gradient(t: Tensor) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    req = any(t.requires_grad or t._parents for t in tensors)
-    out = Tensor(out_data, parents=tuple(tensors) if req else ())
-    if req:
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-        def backward(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
+    def backward(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(lo, hi)
+            t._accumulate(g[tuple(sl)])
 
-        out._backward = backward
-    return out
+    return _op(out_data, tensors, backward)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -374,31 +337,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             raise ShapeError("conv2d bias", b.shape, (o,))
         out_data = out_data + b.data.reshape(1, o, 1, 1)
         parents.append(b)
-    req = any(p.requires_grad or p._parents for p in parents)
-    out = Tensor(out_data, parents=tuple(parents) if req else ())
-    if req:
-        def backward(g):
-            go = g.reshape(n, o, hp * wp)
-            w._accumulate(np.einsum("nol,nkl->ok", go, cols).reshape(w.shape))
-            gcols = np.matmul(wmat.T, go)
-            x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, padding, hp, wp))
-            if b is not None:
-                b._accumulate(g.sum(axis=(0, 2, 3)))
 
-        out._backward = backward
-    return out
+    def backward(g):
+        go = g.reshape(n, o, hp * wp)
+        w._accumulate(np.einsum("nol,nkl->ok", go, cols).reshape(w.shape))
+        gcols = np.matmul(wmat.T, go)
+        x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, padding, hp, wp))
+        if b is not None:
+            b._accumulate(g.sum(axis=(0, 2, 3)))
+
+    return _op(out_data, tuple(parents), backward)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:
     if x.ndim != 4:
         raise ShapeError("upsample_nearest2x", x.shape)
     n, c, h, w = x.shape
-    out_data = x.data.repeat(2, axis=2).repeat(2, axis=3)
-    out = Tensor(out_data, parents=(x,) if (x.requires_grad or x._parents) else ())
-    if out._parents:
-        out._backward = lambda g: x._accumulate(
-            g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
-    return out
+    return _op(x.data.repeat(2, axis=2).repeat(2, axis=3), (x,),
+               lambda g: x._accumulate(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))))
 
 
 def spatial_softmax(x: Tensor) -> Tensor:
@@ -408,14 +364,12 @@ def spatial_softmax(x: Tensor) -> Tensor:
     m = x.data.max(axis=(2, 3), keepdims=True)
     e = np.exp(x.data - m)
     p = e / e.sum(axis=(2, 3), keepdims=True)
-    out = Tensor(p, parents=(x,) if (x.requires_grad or x._parents) else ())
-    if out._parents:
-        def backward(g):
-            dot = (g * p).sum(axis=(2, 3), keepdims=True)
-            x._accumulate(p * (g - dot))
 
-        out._backward = backward
-    return out
+    def backward(g):
+        dot = (g * p).sum(axis=(2, 3), keepdims=True)
+        x._accumulate(p * (g - dot))
+
+    return _op(p, (x,), backward)
 
 
 def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -480,10 +434,6 @@ class Adam:
             v *= st.beta2
             v += (1.0 - st.beta2) * g * g
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + st.epsilon)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
 
 
 # -- gradient checking ----------------------------------------------------------

@@ -7,14 +7,13 @@ pair sampling and batch order all draw from one seeded generator.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fusion, model
-from .tensor import (Adam, Tensor, conv2d, instance_norm, mse,
-                     upsample_nearest2x)
+from .tensor import Adam, Tensor, mse
+from .tensor import conv2d  # noqa: F401  unused; perfbench/tracing.py wraps train.conv2d
 
 
 class PairSamplingError(RuntimeError):
@@ -144,25 +143,6 @@ def compute_stacks(videos, model_cfg: model.ModelConfig,
 # -- autoencoder pretraining ----------------------------------------------------
 
 
-def _init_decoder_params(model_cfg: model.ModelConfig, rng) -> dict[str, Tensor]:
-    c1, c2 = model_cfg.base_channels, model_cfg.feature_channels
-    params: dict[str, Tensor] = {}
-    model._conv_param(rng, params, "decoder.conv1", c1, c2, 3)
-    model._conv_param(rng, params, "decoder.conv2", model_cfg.input_channels, c1, 3)
-    return params
-
-
-def _decode_mirror(phi: Tensor, params, model_cfg) -> Tensor:
-    h = upsample_nearest2x(phi)
-    h = conv2d(h, params["decoder.conv1.w"], params["decoder.conv1.b"], padding=1)
-    if model_cfg.normalize:
-        h = instance_norm(h)
-    h = h.relu()
-    h = upsample_nearest2x(h)
-    h = conv2d(h, params["decoder.conv2.w"], params["decoder.conv2.b"], padding=1)
-    return h.sigmoid()
-
-
 def pretrain_encoder(stacks: np.ndarray, model_cfg: model.ModelConfig,
                      cfg: TrainConfig, params: dict[str, Tensor] | None = None,
                      epochs: int | None = None) -> tuple[dict[str, Tensor], list]:
@@ -180,7 +160,7 @@ def pretrain_encoder(stacks: np.ndarray, model_cfg: model.ModelConfig,
     if params is None:
         params = model.init_params(model_cfg, rng)
     enc_params = {k: v for k, v in params.items() if k.startswith("encoder.")}
-    dec_params = _init_decoder_params(model_cfg, rng)
+    dec_params = model.init_refine_params(model_cfg, rng, prefix="decoder")
     opt = Adam({**enc_params, **dec_params}, lr=cfg.lr0)
     n = stacks.shape[0]
     losses = []
@@ -189,8 +169,8 @@ def pretrain_encoder(stacks: np.ndarray, model_cfg: model.ModelConfig,
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             batch = Tensor(stacks[order[start:start + cfg.batch_size]])
-            recon = _decode_mirror(model.encode(batch, params, model_cfg),
-                                   dec_params, model_cfg)
+            recon = model.refine(model.encode(batch, params, model_cfg),
+                                 dec_params, model_cfg, prefix="decoder")
             loss = mse(recon, batch)
             value = loss.item()
             if not np.isfinite(value):
@@ -217,9 +197,7 @@ def train(videos, model_cfg: model.ModelConfig, fusion_cfg: fusion.FusionConfig,
     epoch's learning rate. Deterministic given cfg.seed.
     """
     cfg.validate()
-    model_cfg.validate()
-    if cfg.use_cbam != model_cfg.cbam_enabled:
-        model_cfg.cbam_enabled = cfg.use_cbam
+    model_cfg = replace(model_cfg, cbam_enabled=cfg.use_cbam).validate()
     rng = np.random.default_rng(cfg.seed)
     params = model.init_params(model_cfg, rng)
     if init is not None:

@@ -5,7 +5,7 @@ from lusk.cli import main, read_keypoints_csv
 from lusk.config import (ConfigError, RunConfig, load_config, parse_config,
                          serialize_config)
 from lusk.evaluate import read_report
-from lusk.synth import BLineSpec
+from lusk.synth import BLineSpec, DatasetError
 from lusk.tensor import load_tensors
 
 TINY = ["--set", "size=32", "--set", "frames=10", "--set", "input_size=32",
@@ -154,3 +154,49 @@ class TestExitCodes:
         code = main(["train", *TINY, "--set", "k=5", "--data", str(dataset),
                      "--init", str(checkpoint), "--out", str(tmp_path / "m.lusk")])
         assert code == 2
+
+    def test_infer_without_config_rejects_bad_override(self, dataset, checkpoint,
+                                                       tmp_path):
+        assert main(["infer", "--set", "bogus=1", "--ckpt", str(checkpoint),
+                     "--data", str(dataset), "--out", str(tmp_path / "pred")]) == 2
+
+
+# 10 frames x 3 slots, matching the TINY dataset
+GOOD_CSV = [f"{t},{s},{10.0 + s},5.0\n" for t in range(10) for s in range(3)]
+BAD_CSVS = {
+    "missing_slot": GOOD_CSV[:13] + GOOD_CSV[14:],  # frame 4 lacks slot 1
+    "extra_slot": GOOD_CSV + ["9,3,1.0,1.0\n"],
+    "repeated_slot": GOOD_CSV + ["2,0,1.0,1.0\n"],
+    "malformed_line": GOOD_CSV[:5] + ["1,2,3.0\n"] + GOOD_CSV[5:],
+}
+
+
+def _write_pred(directory, lines):
+    directory.mkdir()
+    (directory / "keypoints.csv").write_text("frame,slot,row,col\n" + "".join(lines))
+    return directory
+
+
+class TestKeypointsCsv:
+    def test_good_csv_round_trips(self, tmp_path):
+        pts = read_keypoints_csv(_write_pred(tmp_path / "pred", GOOD_CSV) / "keypoints.csv")
+        assert pts.shape == (10, 3, 2)
+        assert np.array_equal(pts[4, 1], [11.0, 5.0])
+
+    @pytest.mark.parametrize("case", sorted(BAD_CSVS))
+    def test_bad_csv_is_data_error(self, case, dataset, tmp_path, capsys):
+        pred = _write_pred(tmp_path / "pred", BAD_CSVS[case])
+        with pytest.raises(DatasetError):
+            read_keypoints_csv(pred / "keypoints.csv")
+        assert main(["eval", "--pred", str(pred), "--truth", str(dataset),
+                     "--out", str(tmp_path / "report.txt")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+    def test_fewer_prediction_frames_than_truth_is_data_error(self, dataset, tmp_path,
+                                                              capsys):
+        pred = _write_pred(tmp_path / "pred", GOOD_CSV[:27])
+        assert main(["eval", "--pred", str(pred), "--truth", str(dataset),
+                     "--out", str(tmp_path / "report.txt")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from lusk import fusion
 from lusk.fusion import (FusionConfig, MonogenicTriple, fuse, ibs,
                          local_phase, local_phase_raw, log_gabor_gain,
-                         log_gabor_response, minmax_normalize, monogenic,
-                         monogenic_direct, norm_stack, phase_symmetry,
-                         resize_bilinear, ssim, tga)
+                         minmax_normalize, monogenic, norm_stack,
+                         phase_symmetry, resize_bilinear, ssim, tga)
+from oracles import log_gabor_response, monogenic_direct
 
 
 def line_frame(size=32, row=10, background=0.05, brightness=1.0):

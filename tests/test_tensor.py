@@ -135,6 +135,52 @@ class TestBackward:
         assert rep.passed, rep
 
 
+_LINKAGE_OPS = [
+    ("add", lambda a, b: a + b, [(2, 3), (2, 3)]),
+    ("sub", lambda a, b: a - b, [(2, 3), (2, 3)]),
+    ("mul", lambda a, b: a * b, [(2, 3), (2, 3)]),
+    ("div", lambda a, b: a / b, [(2, 3), (2, 3)]),
+    ("pow", lambda a: a ** 2.0, [(2, 3)]),
+    ("exp", lambda a: a.exp(), [(2, 3)]),
+    ("relu", lambda a: a.relu(), [(2, 3)]),
+    ("sigmoid", lambda a: a.sigmoid(), [(2, 3)]),
+    ("clamp", lambda a: a.clamp(0.2, 0.8), [(2, 3)]),
+    ("sum", lambda a: a.sum(axis=1), [(2, 3)]),
+    ("max", lambda a: a.max(axis=1), [(2, 3)]),
+    ("reshape", lambda a: a.reshape(3, 2), [(2, 3)]),
+    ("matmul", lambda a, b: a @ b, [(2, 3), (3, 4)]),
+    ("concat", lambda a, b: concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    ("conv2d", lambda x, w, b: conv2d(x, w, b, padding=1),
+     [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    ("upsample", lambda a: upsample_nearest2x(a), [(1, 2, 3, 3)]),
+    ("spatial_softmax", lambda a: spatial_softmax(a), [(1, 2, 3, 3)]),
+]
+
+
+class TestGraphLinkage:
+    """An op's output joins the graph only when a gradient can reach an input."""
+
+    @pytest.mark.parametrize("name,fn,shapes", _LINKAGE_OPS)
+    def test_pruned_without_grad(self, name, fn, shapes):
+        rng = np.random.default_rng(0)
+        out = fn(*[t(rng.random(s) + 0.5, grad=False) for s in shapes])
+        assert out._parents == () and out._backward is None
+
+    @pytest.mark.parametrize("interior", [False, True])
+    @pytest.mark.parametrize("name,fn,shapes", _LINKAGE_OPS)
+    def test_linked_through_any_one_input(self, name, fn, shapes, interior):
+        rng = np.random.default_rng(0)
+        for i in range(len(shapes)):
+            inputs = [t(rng.random(s) + 0.5, grad=False) for s in shapes]
+            if interior:  # a graph node that is not itself a leaf parameter
+                inputs[i] = t(rng.random(shapes[i]) + 0.5) * 1.0
+            else:
+                inputs[i].requires_grad = True
+            out = fn(*inputs)
+            assert any(p is inputs[i] for p in out._parents), (name, i)
+            assert out._backward is not None
+
+
 class TestGradcheck:
     def test_elementwise_multiply(self):
         rep = gradcheck(lambda a, b: (a * b).sum(), [(4, 5), (4, 5)])

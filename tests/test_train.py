@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lusk.fusion import FusionConfig
-from lusk.model import ModelConfig
+from lusk.model import ModelConfig, load_model
 from lusk.synth import SceneSpec, generate
 from lusk.train import (PairSamplingError, TrainConfig, compute_stacks, lr_at,
                         pipeline_trace, pretrain_encoder, sample_pairs, train,
@@ -159,6 +159,16 @@ class TestTrain:
         result = train([small_video], mcfg, FusionConfig(), tcfg,
                        pair_count=4, init=enc)
         assert len(result.losses) == 1
+
+    def test_caller_model_config_unchanged(self, small_video, tmp_path):
+        mcfg = tiny_model_cfg()
+        path = tmp_path / "model.lusk"
+        train([small_video], mcfg, FusionConfig(),
+              tiny_train_cfg(epochs=1, ssim_threshold=0.5, use_cbam=True),
+              pair_count=4, checkpoint_path=path)
+        assert mcfg == tiny_model_cfg()
+        _, saved = load_model(path)
+        assert saved.cbam_enabled
 
     def test_invalid_config_rejected(self, small_video):
         with pytest.raises(ValueError, match="ssim_threshold"):
