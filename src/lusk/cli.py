@@ -17,7 +17,7 @@ from . import evaluate, fusion, model, synth, train as training
 from .config import ConfigError, RunConfig, load_config
 from .pgm import read_pgm, write_pgm
 from .synth import DatasetError
-from .tensor import Tensor, save_tensors
+from .tensor import save_tensors
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -25,10 +25,10 @@ EXIT_NUMERIC = 4
 
 
 def _run_config(args) -> RunConfig:
-    overrides = list(getattr(args, "set", None) or [])
-    if getattr(args, "seed", None) is not None:
+    overrides = list(args.set or [])
+    if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    return load_config(getattr(args, "config", None), overrides)
+    return load_config(args.config, overrides)
 
 
 def cmd_synth(args) -> int:
@@ -41,14 +41,9 @@ def cmd_synth(args) -> int:
 
 def cmd_fuse(args) -> int:
     cfg = _run_config(args)
-    frame = read_pgm(args.infile)
-    a = args.tga if args.tga is not None else (
-        cfg.fusion.attenuation_a if cfg.train.use_tga else None)
-    prepared = fusion.prepare_frame(frame, cfg.model.input_size, a)
-    if args.mode == "norm":
-        stack = fusion.norm_stack(prepared, cfg.model.input_channels)
-    else:
-        stack = fusion.fuse(prepared, cfg.fusion)
+    stack = model.preprocess_frame(read_pgm(args.infile), cfg.model, cfg.fusion,
+                                   use_tga=cfg.train.use_tga,
+                                   input_mode=cfg.train.input_mode)
     os.makedirs(args.out, exist_ok=True)
     for i, channel in enumerate(stack):
         write_pgm(os.path.join(args.out, f"channel_{i:02d}.pgm"),
@@ -165,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="unsupervised ultrasound keypoints")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="key=value config file")
+    def common(p):
+        p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="config override (repeatable, later wins)")
         p.add_argument("--seed", type=int, help="override the global seed")
@@ -181,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tga", type=float, default=None, help="attenuation factor")
-    p.add_argument("--mode", choices=("fused", "norm"), default="fused")
     p.set_defaults(fn=cmd_fuse)
 
     p = sub.add_parser("pretrain", help="autoencoder pretraining of the encoder")

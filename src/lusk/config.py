@@ -7,9 +7,9 @@ wins. parse -> serialize -> parse is a fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, is_dataclass
+from typing import get_type_hints
 
-from .evaluate import DEFAULT_DELTA
 from .fusion import FusionConfig
 from .model import ModelConfig
 from .synth import BLineSpec, SceneSpec
@@ -28,7 +28,6 @@ class RunConfig:
     scene: SceneSpec = field(default_factory=SceneSpec)
     seed: int = 0
     pair_count: int = 200
-    delta: float = DEFAULT_DELTA
 
     def validate(self):
         try:
@@ -81,72 +80,54 @@ def _format_b_lines(b_lines) -> str:
                     for b in b_lines)
 
 
-# key -> (section attr or None for top level, field, parse, format)
-_KEYS = {
-    # fusion
-    "sigma0": ("fusion", "sigma0", float, repr),
-    "lambdas": ("fusion", "lambdas", _parse_lambdas, _format_lambdas),
-    "thresh": ("fusion", "thresh", float, repr),
-    "epsilon": ("fusion", "epsilon", float, repr),
-    "attenuation_a": ("fusion", "attenuation_a", float, repr),
-    "energy_denominator_mode": ("fusion", "energy_denominator_mode", str, str),
-    # model
-    "k": ("model", "k", int, repr),
-    "input_size": ("model", "input_size", int, repr),
-    "feature_stride": ("model", "feature_stride", int, repr),
-    "heatmap_sigma": ("model", "heatmap_sigma", float, repr),
-    "base_channels": ("model", "base_channels", int, repr),
-    # train
-    "epochs": ("train", "epochs", int, repr),
-    "batch_size": ("train", "batch_size", int, repr),
-    "lr0": ("train", "lr0", float, repr),
-    "lr_decay": ("train", "lr_decay", float, repr),
-    "lr_interval": ("train", "lr_interval", int, repr),
-    "ssim_threshold": ("train", "ssim_threshold", float, repr),
-    "max_pair_gap": ("train", "max_pair_gap", int, repr),
-    "use_tga": ("train", "use_tga", _parse_bool, lambda b: str(bool(b)).lower()),
-    "use_ssim_gate": ("train", "use_ssim_gate", _parse_bool, lambda b: str(bool(b)).lower()),
-    "use_cbam": ("train", "use_cbam", _parse_bool, lambda b: str(bool(b)).lower()),
-    "input_mode": ("train", "input_mode", str, str),
-    "pair_retry_factor": ("train", "pair_retry_factor", int, repr),
-    "pretrain_epochs": ("train", "pretrain_epochs", int, repr),
-    "checkpoint_every": ("train", "checkpoint_every", int, repr),
-    # scene
-    "frames": ("scene", "frames", int, repr),
-    "size": ("scene", "size", int, repr),
-    "pleura_depth": ("scene", "pleura_depth", float, repr),
-    "amplitude": ("scene", "amplitude", float, repr),
-    "frequency": ("scene", "frequency", float, repr),
-    "pleura_brightness": ("scene", "pleura_brightness", float, repr),
-    "pleura_thickness": ("scene", "pleura_thickness", float, repr),
-    "a_line_count": ("scene", "a_line_count", int, repr),
-    "a_line_decay": ("scene", "a_line_decay", float, repr),
-    "speckle_strength": ("scene", "speckle_strength", float, repr),
-    "b_lines": ("scene", "b_lines", _parse_b_lines, _format_b_lines),
-    "b_line_wrap": ("scene", "b_line_wrap", _parse_bool, lambda b: str(bool(b)).lower()),
-    # top level
-    "seed": (None, "seed", int, repr),
-    "pair_count": (None, "pair_count", int, repr),
-    "delta": (None, "delta", float, repr),
+_CODECS = {int: (int, repr), float: (float, repr), str: (str, str),
+           bool: (_parse_bool, lambda b: str(bool(b)).lower())}
+# tuple fields each have their own codec
+_FIELD_CODECS = {"lambdas": (_parse_lambdas, _format_lambdas),
+                 "b_lines": (_parse_b_lines, _format_b_lines)}
+
+# Section fields the program sets itself, never read from a config:
+_INTERNAL = {
+    "seed",            # copied from the top-level seed by RunConfig.validate
+    "cbam_enabled",    # copied from use_cbam
+    "input_channels",  # fixed by the 10-channel feature stack
+    "normalize",       # instance norm; switched off only in linearity tests
 }
+
+
+def _build_keys():
+    """key -> (section attr or None for top level, parse, format). Each key
+    is named after its dataclass field and coded by the field's annotation."""
+    entries = []
+    for name, hint in get_type_hints(RunConfig).items():
+        if is_dataclass(hint):
+            entries += [(key, name, h) for key, h in get_type_hints(hint).items()
+                        if key not in _INTERNAL]
+        else:
+            entries.append((name, None, hint))
+    keys = {key: (section, *(_FIELD_CODECS.get(key) or _CODECS[hint]))
+            for key, section, hint in entries}
+    if len(keys) != len(entries):
+        raise TypeError("a config key is declared in two sections")
+    return keys
+
+
+_KEYS = _build_keys()
 
 
 def apply_setting(cfg: RunConfig, key: str, value: str, where: str = "<override>"):
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown config key {key!r}")
-    section, fname, parse, _ = _KEYS[key]
+    section, parse, _ = _KEYS[key]
     try:
         parsed = parse(value)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
-    target = cfg if section is None else getattr(cfg, section)
-    setattr(target, fname, parsed)
+    setattr(cfg if section is None else getattr(cfg, section), key, parsed)
 
 
-def parse_config(text: str, source: str = "<config>",
-                 cfg: RunConfig | None = None) -> RunConfig:
-    if cfg is None:
-        cfg = RunConfig()
+def parse_config(text: str, source: str = "<config>") -> RunConfig:
+    cfg = RunConfig()
     unknown = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -185,7 +166,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     lines = []
-    for key, (section, fname, _, fmt) in _KEYS.items():
+    for key, (section, _, fmt) in _KEYS.items():
         target = cfg if section is None else getattr(cfg, section)
-        lines.append(f"{key}={fmt(getattr(target, fname))}")
+        lines.append(f"{key}={fmt(getattr(target, key))}")
     return "\n".join(lines) + "\n"

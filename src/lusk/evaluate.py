@@ -34,22 +34,6 @@ def default_delta(size: int) -> float:
     return DEFAULT_DELTA * size / 64.0
 
 
-def pleura_accuracy(keypoints, pleura_rows, delta: float) -> tuple[int, int, float]:
-    """Returns (correct, total, accuracy). keypoints: (T, k, 2) as (row, col)."""
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    keypoints = np.asarray(keypoints, dtype=np.float64)
-    if len(keypoints) != len(pleura_rows):
-        raise ValueError(
-            f"{len(keypoints)} keypoint sets vs {len(pleura_rows)} truth records")
-    correct = 0
-    for kp, row in zip(keypoints, pleura_rows):
-        if np.abs(kp[:, 0] - row).min() <= delta:
-            correct += 1
-    total = len(pleura_rows)
-    return correct, total, correct / total if total else 0.0
-
-
 def _nearest_distances(keypoints, truth_values, axis: int):
     """Distance from each truth landmark to its nearest keypoint along one
     axis (0 = rows for horizontal lines, 1 = columns for vertical ones)."""
@@ -60,6 +44,25 @@ def _nearest_distances(keypoints, truth_values, axis: int):
     return dists
 
 
+def _pleura_distances(keypoints, pleura_rows):
+    """Per frame, the row distance from the true pleura to the nearest
+    keypoint; a frame is correct when this is at most delta."""
+    return _nearest_distances(np.asarray(keypoints, dtype=np.float64),
+                              [[row] for row in pleura_rows], 0)
+
+
+def pleura_accuracy(keypoints, pleura_rows, delta: float) -> tuple[int, int, float]:
+    """Returns (correct, total, accuracy). keypoints: (T, k, 2) as (row, col)."""
+    if delta <= 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if len(keypoints) != len(pleura_rows):
+        raise ValueError(
+            f"{len(keypoints)} keypoint sets vs {len(pleura_rows)} truth records")
+    correct = sum(d <= delta for d in _pleura_distances(keypoints, pleura_rows))
+    total = len(pleura_rows)
+    return correct, total, correct / total if total else 0.0
+
+
 def landmark_distance(keypoints, truth) -> dict[str, dict[str, float]]:
     """Per-landmark nearest-keypoint distance stats (mean/median over frames)."""
     keypoints = np.asarray(keypoints, dtype=np.float64)
@@ -67,7 +70,7 @@ def landmark_distance(keypoints, truth) -> dict[str, dict[str, float]]:
         raise ValueError(
             f"{len(keypoints)} keypoint sets vs {len(truth)} truth records")
     groups = {
-        "pleura": _nearest_distances(keypoints, [[r] for r in truth.pleura_rows], 0),
+        "pleura": _pleura_distances(keypoints, truth.pleura_rows),
         "a_line": _nearest_distances(keypoints, truth.a_line_rows, 0),
         "b_line": _nearest_distances(keypoints, truth.b_line_cols, 1),
     }
@@ -139,9 +142,8 @@ def read_report(path) -> EvalReport:
 
 def write_frame_csv(path, keypoints, truth, delta: float):
     """Per-frame detail: pleura distance of the best keypoint and correctness."""
-    keypoints = np.asarray(keypoints, dtype=np.float64)
+    dists = _pleura_distances(keypoints, truth.pleura_rows)
     with open(path, "w", encoding="utf-8") as f:
         f.write("frame,pleura_row,best_dist,correct\n")
-        for t, (kp, row) in enumerate(zip(keypoints, truth.pleura_rows)):
-            d = float(np.abs(kp[:, 0] - row).min())
+        for t, (row, d) in enumerate(zip(truth.pleura_rows, dists)):
             f.write(f"{t},{row!r},{d!r},{int(d <= delta)}\n")

@@ -26,10 +26,8 @@ class ShapeError(ValueError):
         super().__init__(f"{op}: incompatible shapes {pretty}")
 
 
-def _as_array(data, dtype=None):
+def _as_array(data):
     a = np.asarray(data)
-    if dtype is not None:
-        return a.astype(dtype, copy=False)
     if a.dtype == np.float64 or a.dtype == np.float32:
         return a
     return a.astype(np.float32)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fusion, model
+from .synth import DatasetError
 from .tensor import Adam, Tensor, mse
 from .tensor import conv2d  # noqa: F401  unused; perfbench/tracing.py wraps train.conv2d
 
@@ -43,12 +44,14 @@ class TrainConfig:
             raise ValueError(f"ssim_threshold must be in (0,1], got {self.ssim_threshold}")
         if self.lr0 <= 0:
             raise ValueError(f"lr0 must be > 0, got {self.lr0}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.lr_decay <= 0:
+            raise ValueError(f"lr_decay must be > 0, got {self.lr_decay}")
+        for name in ("epochs", "batch_size", "lr_interval", "max_pair_gap",
+                     "pair_retry_factor", "pretrain_epochs", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.input_mode not in ("fused", "norm_stack"):
             raise ValueError(f"unknown input_mode {self.input_mode!r}")
-        if self.max_pair_gap < 1:
-            raise ValueError(f"max_pair_gap must be >= 1, got {self.max_pair_gap}")
         return self
 
 
@@ -102,7 +105,7 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
         rng = np.random.default_rng(cfg.seed)
     for v, frames in enumerate(videos):
         if len(frames) < 2:
-            raise ValueError(f"video {v} has fewer than 2 frames")
+            raise DatasetError(f"video {v} has fewer than 2 frames")
     pairs: list[PairSample] = []
     attempts = 0
     budget = cfg.pair_retry_factor * count
@@ -140,12 +143,32 @@ def compute_stacks(videos, model_cfg: model.ModelConfig,
     return stacks
 
 
+def _epochs(opt: Adam, n: int, batch_loss, cfg: TrainConfig,
+            rng: np.random.Generator, epochs: int):
+    """Adam over `epochs` shuffles of n examples in batches of
+    cfg.batch_size; batch_loss(indices) builds one batch's loss. Yields
+    (epoch, mean batch loss, lr) after each epoch."""
+    for epoch in range(epochs):
+        lr = lr_at(epoch, cfg)
+        order = rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, cfg.batch_size):
+            loss = batch_loss(order[start:start + cfg.batch_size])
+            value = loss.item()
+            if not np.isfinite(value):
+                raise FloatingPointError(
+                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
+            loss.backward()
+            opt.step(lr)
+            batch_losses.append(value)
+        yield epoch, float(np.mean(batch_losses)), lr
+
+
 # -- autoencoder pretraining ----------------------------------------------------
 
 
 def pretrain_encoder(stacks: np.ndarray, model_cfg: model.ModelConfig,
-                     cfg: TrainConfig, params: dict[str, Tensor] | None = None,
-                     epochs: int | None = None) -> tuple[dict[str, Tensor], list]:
+                     cfg: TrainConfig) -> tuple[dict[str, Tensor], list]:
     """Train encoder + throwaway mirror decoder on stack reconstruction.
 
     Returns (encoder parameters only, per-epoch losses); the decoder is
@@ -155,32 +178,20 @@ def pretrain_encoder(stacks: np.ndarray, model_cfg: model.ModelConfig,
     stacks = np.asarray(stacks, dtype=np.float32)
     if stacks.ndim != 4 or stacks.shape[0] < 1:
         raise ValueError(f"expected (N, C, H, W) stacks, got {stacks.shape}")
-    epochs = cfg.pretrain_epochs if epochs is None else epochs
     rng = np.random.default_rng(cfg.seed)
-    if params is None:
-        params = model.init_params(model_cfg, rng)
+    params = model.init_params(model_cfg, rng)
     enc_params = {k: v for k, v in params.items() if k.startswith("encoder.")}
     dec_params = model.init_refine_params(model_cfg, rng, prefix="decoder")
     opt = Adam({**enc_params, **dec_params}, lr=cfg.lr0)
-    n = stacks.shape[0]
-    losses = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            batch = Tensor(stacks[order[start:start + cfg.batch_size]])
-            recon = model.refine(model.encode(batch, params, model_cfg),
-                                 dec_params, model_cfg, prefix="decoder")
-            loss = mse(recon, batch)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise FloatingPointError(
-                    f"non-finite pretraining loss at epoch {epoch}, batch {start // cfg.batch_size}")
-            loss.backward()
-            opt.step(lr_at(epoch, cfg))
-            epoch_losses.append(value)
-        losses.append(float(np.mean(epoch_losses)))
-    return enc_params, losses
+
+    def batch_loss(idx):
+        batch = Tensor(stacks[idx])
+        recon = model.refine(model.encode(batch, params, model_cfg),
+                             dec_params, model_cfg, prefix="decoder")
+        return mse(recon, batch)
+
+    epochs = _epochs(opt, stacks.shape[0], batch_loss, cfg, rng, cfg.pretrain_epochs)
+    return enc_params, [loss for _, loss, _ in epochs]
 
 
 # -- main training loop -----------------------------------------------------------
@@ -206,26 +217,17 @@ def train(videos, model_cfg: model.ModelConfig, fusion_cfg: fusion.FusionConfig,
                 params[name] = Tensor(tensor.data.astype(np.float32), requires_grad=True)
     pairs = sample_pairs(videos, cfg, pair_count, rng)
     stacks = compute_stacks(videos, model_cfg, fusion_cfg, cfg)
-    opt = Adam(params, lr=cfg.lr0)
+
+    def batch_loss(idx):
+        batch = [pairs[i] for i in idx]
+        src = Tensor(np.stack([stacks[p.video][p.source] for p in batch]))
+        tgt = Tensor(np.stack([stacks[p.video][p.target] for p in batch]))
+        return mse(model.reconstruct(src, tgt, params, model_cfg), tgt)
+
     losses, lrs = [], []
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg)
-        order = rng.permutation(len(pairs))
-        epoch_losses = []
-        for start in range(0, len(pairs), cfg.batch_size):
-            batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
-            src = Tensor(np.stack([stacks[p.video][p.source] for p in batch]))
-            tgt = Tensor(np.stack([stacks[p.video][p.target] for p in batch]))
-            recon = model.reconstruct(src, tgt, params, model_cfg)
-            loss = mse(recon, tgt)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
-            loss.backward()
-            opt.step(lr)
-            epoch_losses.append(value)
-        losses.append(float(np.mean(epoch_losses)))
+    opt = Adam(params, lr=cfg.lr0)
+    for epoch, loss, lr in _epochs(opt, len(pairs), batch_loss, cfg, rng, cfg.epochs):
+        losses.append(loss)
         lrs.append(lr)
         if checkpoint_path and (epoch + 1) % cfg.checkpoint_every == 0:
             model.save_model(checkpoint_path, params, model_cfg)

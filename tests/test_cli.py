@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from lusk import fusion
 from lusk.cli import main, read_keypoints_csv
 from lusk.config import (ConfigError, RunConfig, load_config, parse_config,
                          serialize_config)
 from lusk.evaluate import read_report
+from lusk.pgm import read_pgm
 from lusk.synth import BLineSpec, DatasetError
 from lusk.tensor import load_tensors
 
@@ -52,6 +54,23 @@ class TestConfig:
         cfg = parse_config("seed=9\n").validate()
         assert cfg.train.seed == 9 and cfg.scene.seed == 9
 
+    def test_key_list_pinned(self):
+        # every dataclass field not marked internal in config.py is a user
+        # setting; a new field must show up here on purpose
+        keys = [line.partition("=")[0]
+                for line in serialize_config(RunConfig().validate()).splitlines()]
+        assert keys == [
+            "sigma0", "lambdas", "thresh", "epsilon", "attenuation_a",
+            "energy_denominator_mode",
+            "k", "input_size", "feature_stride", "heatmap_sigma", "base_channels",
+            "epochs", "batch_size", "lr0", "lr_decay", "lr_interval", "ssim_threshold",
+            "max_pair_gap", "use_tga", "use_ssim_gate", "use_cbam", "input_mode",
+            "pair_retry_factor", "pretrain_epochs", "checkpoint_every",
+            "frames", "size", "pleura_depth", "amplitude", "frequency",
+            "pleura_brightness", "pleura_thickness", "a_line_count", "a_line_decay",
+            "b_lines", "speckle_strength", "b_line_wrap",
+            "seed", "pair_count"]
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -92,10 +111,14 @@ class TestFuse:
 
     def test_norm_mode(self, dataset, tmp_path):
         out = tmp_path / "norm"
-        assert main(["fuse", *TINY, "--mode", "norm",
+        assert main(["fuse", *TINY, "--set", "input_mode=norm_stack",
                      "--in", str(dataset / "frame_00000.pgm"),
                      "--out", str(out)]) == 0
         assert len(list(out.glob("channel_*.pgm"))) == 10
+        prepared = fusion.prepare_frame(read_pgm(dataset / "frame_00000.pgm"), 32,
+                                        fusion.FusionConfig().attenuation_a)
+        stack = load_tensors(out / "stack.lusk")
+        assert np.array_equal(stack["channel_00"], fusion.norm_stack(prepared)[0])
 
 
 class TestPipeline:
@@ -154,6 +177,37 @@ class TestExitCodes:
         code = main(["train", *TINY, "--set", "k=5", "--data", str(dataset),
                      "--init", str(checkpoint), "--out", str(tmp_path / "m.lusk")])
         assert code == 2
+
+    @pytest.mark.parametrize("setting", [
+        "checkpoint_every=0", "lr_interval=0", "batch_size=0", "pair_retry_factor=0",
+        "pretrain_epochs=0", "lr_decay=0", "lr_decay=-0.5"])
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_bad_train_setting_is_config_error(self, command, setting, tmp_path, capsys):
+        # the data directory does not exist: the setting must be rejected first
+        code = main([command, *TINY, "--set", setting, "--data", str(tmp_path / "missing"),
+                     "--out", str(tmp_path / "m.lusk")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert setting.partition("=")[0] in err
+
+    def test_one_frame_video_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "one"
+        assert main(["synth", *TINY, "--set", "frames=1", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", *TINY, "--data", str(data),
+                     "--out", str(tmp_path / "m.lusk")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "fewer than 2 frames" in err
+
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_diverging_loss_is_numeric_error(self, command, dataset, tmp_path, capsys):
+        # on this data lr0=1e30 saturates the sigmoid head but keeps the loss
+        # finite; 1e36 overflows float32 within the first epoch
+        code = main([command, *TINY, "--set", "lr0=1e36", "--data", str(dataset),
+                     "--out", str(tmp_path / "m.lusk")])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines()[-1].startswith("numeric failure:")
 
     def test_infer_without_config_rejects_bad_override(self, dataset, checkpoint,
                                                        tmp_path):
