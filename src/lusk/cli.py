@@ -41,9 +41,7 @@ def cmd_synth(args) -> int:
 
 def cmd_fuse(args) -> int:
     cfg = _run_config(args)
-    stack = model.preprocess_frame(read_pgm(args.infile), cfg.model, cfg.fusion,
-                                   use_tga=cfg.train.use_tga,
-                                   input_mode=cfg.train.input_mode)
+    stack = model.preprocess_frame(read_pgm(args.infile), cfg.model, cfg.fusion)
     os.makedirs(args.out, exist_ok=True)
     for i, channel in enumerate(stack):
         write_pgm(os.path.join(args.out, f"channel_{i:02d}.pgm"),
@@ -57,7 +55,7 @@ def cmd_fuse(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _run_config(args)
     frames = synth.load_frames(args.data)
-    stacks = training.compute_stacks([frames], cfg.model, cfg.fusion, cfg.train)[0]
+    stacks = training.compute_stacks([frames], cfg.model, cfg.fusion)[0]
     enc_params, losses = training.pretrain_encoder(stacks, cfg.model, cfg.train)
     model.save_model(args.out, enc_params, cfg.model)
     print(f"pretrained encoder: loss {losses[0]:.6f} -> {losses[-1]:.6f}, wrote {args.out}")
@@ -100,9 +98,7 @@ def cmd_infer(args) -> int:
     with open(os.path.join(args.out, "keypoints.csv"), "w", encoding="utf-8") as f:
         f.write("frame,slot,row,col\n")
         for t, frame in enumerate(frames):
-            coords = model.infer_keypoints(
-                frame, params, model_cfg, cfg.fusion,
-                use_tga=cfg.train.use_tga, input_mode=cfg.train.input_mode) * scale
+            coords = model.infer_keypoints(frame, params, model_cfg, cfg.fusion) * scale
             for slot, (row, col) in enumerate(coords):
                 f.write(f"{t},{slot},{float(row)!r},{float(col)!r}\n")
             write_pgm(os.path.join(args.out, f"overlay_{t:05d}.pgm"),

@@ -7,6 +7,7 @@ wins. parse -> serialize -> parse is a fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, is_dataclass
 from typing import get_type_hints
 
@@ -39,10 +40,12 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.pair_count < 1:
             raise ConfigError(f"pair_count must be >= 1, got {self.pair_count}")
+        if len(self.fusion.lambdas) != self.model.input_channels:
+            raise ConfigError(f"lambdas has {len(self.fusion.lambdas)} wavelengths, but "
+                              f"the network takes {self.model.input_channels} channels")
         # one global seed drives every seeded stage
         self.train.seed = self.seed
         self.scene.seed = self.seed
-        self.model.cbam_enabled = self.train.use_cbam
         return self
 
 
@@ -55,8 +58,15 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"not a boolean: {v!r}")
 
 
+def _parse_float(v: str) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {v!r}")
+    return x
+
+
 def _parse_lambdas(v: str):
-    return tuple(float(x) for x in v.split(","))
+    return tuple(_parse_float(x) for x in v.split(","))
 
 
 def _format_lambdas(lam) -> str:
@@ -68,7 +78,7 @@ def _parse_b_lines(v: str):
         return ()
     specs = []
     for part in v.split(";"):
-        vals = [float(x) for x in part.split(":")]
+        vals = [_parse_float(x) for x in part.split(":")]
         if len(vals) != 4:
             raise ValueError(f"b_line entry needs col:drift:width:brightness, got {part!r}")
         specs.append(BLineSpec(*vals))
@@ -80,7 +90,7 @@ def _format_b_lines(b_lines) -> str:
                     for b in b_lines)
 
 
-_CODECS = {int: (int, repr), float: (float, repr), str: (str, str),
+_CODECS = {int: (int, repr), float: (_parse_float, repr), str: (str, str),
            bool: (_parse_bool, lambda b: str(bool(b)).lower())}
 # tuple fields each have their own codec
 _FIELD_CODECS = {"lambdas": (_parse_lambdas, _format_lambdas),
@@ -89,7 +99,6 @@ _FIELD_CODECS = {"lambdas": (_parse_lambdas, _format_lambdas),
 # Section fields the program sets itself, never read from a config:
 _INTERNAL = {
     "seed",            # copied from the top-level seed by RunConfig.validate
-    "cbam_enabled",    # copied from use_cbam
     "input_channels",  # fixed by the 10-channel feature stack
     "normalize",       # instance norm; switched off only in linearity tests
 }

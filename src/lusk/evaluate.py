@@ -9,6 +9,7 @@ invariant to keypoint slot order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -105,9 +106,8 @@ def evaluate(keypoints, truth, delta: float = DEFAULT_DELTA) -> EvalReport:
         jitter=[float(j) for j in jit])
 
 
-_SCALAR_FIELDS = ("frames_total", "frames_pleura_correct", "pleura_accuracy", "delta",
-                  "pleura_mean_dist", "pleura_median_dist", "a_line_mean_dist",
-                  "a_line_median_dist", "b_line_mean_dist", "b_line_median_dist")
+_SCALAR_FIELDS = {name: hint for name, hint in get_type_hints(EvalReport).items()
+                  if hint in (int, float)}
 
 _HEADER = ("# pleura correctness: any keypoint row within delta pixels of the "
            "true pleura row (delta is an engineering default, see below)")
@@ -131,10 +131,8 @@ def read_report(path) -> EvalReport:
             key, _, value = line.partition("=")
             if key == "jitter":
                 report.jitter = [float(v) for v in value.split(",")] if value else []
-            elif key in ("frames_total", "frames_pleura_correct"):
-                setattr(report, key, int(value))
             elif key in _SCALAR_FIELDS:
-                setattr(report, key, float(value))
+                setattr(report, key, _SCALAR_FIELDS[key](value))
             else:
                 raise ValueError(f"{path}: unknown report key {key!r}")
     return report

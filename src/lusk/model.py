@@ -9,6 +9,7 @@ between frame pairs, and a refinement decoder that reconstructs the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .tensor import (Tensor, ShapeError, concat, conv2d, instance_norm,
                      stop_gradient, upsample_nearest2x)
 
 CBAM_REDUCTION = 8
+INPUT_MODES = ("fused", "norm_stack")
 
 
 @dataclass
@@ -25,11 +27,14 @@ class ModelConfig:
     k: int = 10
     input_channels: int = 10
     input_size: int = 256
-    feature_stride: int = 4
     heatmap_sigma: float = 1.5
-    cbam_enabled: bool = False
+    use_cbam: bool = False
     base_channels: int = 32
     normalize: bool = True  # instance norm; disabled only in linearity tests
+    use_tga: bool = True
+    input_mode: str = "fused"
+    # not a field: the encoder's two stride-2 stages fix the stride at 4
+    feature_stride = 4
 
     def validate(self):
         if self.k < 1:
@@ -39,6 +44,8 @@ class ModelConfig:
                 f"input_size {self.input_size} not divisible by stride {self.feature_stride}")
         if self.heatmap_sigma <= 0:
             raise ValueError(f"heatmap_sigma must be > 0, got {self.heatmap_sigma}")
+        if self.input_mode not in INPUT_MODES:
+            raise ValueError(f"unknown input_mode {self.input_mode!r}")
         return self
 
     @property
@@ -78,7 +85,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
     for trunk in ("encoder", "keynet"):
         _conv_param(rng, params, f"{trunk}.conv1", c1, cfg.input_channels, 3)
         _conv_param(rng, params, f"{trunk}.conv2", c2, c1, 3)
-    if cfg.cbam_enabled:
+    if cfg.use_cbam:
         _cbam_params(rng, params, "encoder.cbam1", c1)
         _cbam_params(rng, params, "encoder.cbam2", c2)
     _conv_param(rng, params, "keynet.head", cfg.k, c2, 1)
@@ -115,14 +122,14 @@ def cbam(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return x * sgate
 
 
-def _stage(x, params, name, cfg, with_cbam=None, stride=2):
-    """3x3 conv, instance norm (if enabled), ReLU, then optional CBAM."""
+def _stage(x, params, name, cfg, cbam_prefix=None, stride=2):
+    """3x3 conv, instance norm (if enabled), ReLU, then CBAM at cbam_prefix (if enabled)."""
     h = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=stride, padding=1)
     if cfg.normalize:
         h = instance_norm(h)
     h = h.relu()
-    if with_cbam:
-        h = cbam(h, params, with_cbam)
+    if cbam_prefix and cfg.use_cbam:
+        h = cbam(h, params, cbam_prefix)
     return h
 
 
@@ -131,10 +138,8 @@ def encode(stack: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
     if stack.ndim != 4 or stack.shape[1] != cfg.input_channels:
         raise ShapeError("encode", stack.shape,
                          (-1, cfg.input_channels, cfg.input_size, cfg.input_size))
-    h = _stage(stack, params, "encoder.conv1", cfg,
-               "encoder.cbam1" if cfg.cbam_enabled else None)
-    return _stage(h, params, "encoder.conv2", cfg,
-                  "encoder.cbam2" if cfg.cbam_enabled else None)
+    h = _stage(stack, params, "encoder.conv1", cfg, "encoder.cbam1")
+    return _stage(h, params, "encoder.conv2", cfg, "encoder.cbam2")
 
 
 def render_heatmaps(rows: Tensor, cols: Tensor, h: int, w: int, sigma: float,
@@ -227,24 +232,19 @@ def cell_to_pixel(cell: np.ndarray, stride: int) -> np.ndarray:
 
 
 def preprocess_frame(frame: np.ndarray, cfg: ModelConfig,
-                     fusion_cfg: fusion.FusionConfig, *, use_tga: bool = True,
-                     input_mode: str = "fused") -> np.ndarray:
+                     fusion_cfg: fusion.FusionConfig) -> np.ndarray:
     """Resize + optional TGA + feature stack, as fed to the network."""
-    a = fusion_cfg.attenuation_a if use_tga else None
+    a = fusion_cfg.attenuation_a if cfg.use_tga else None
     prepared = fusion.prepare_frame(frame, cfg.input_size, a)
-    if input_mode == "fused":
+    if cfg.input_mode == "fused":
         return fusion.fuse(prepared, fusion_cfg)
-    if input_mode == "norm_stack":
-        return fusion.norm_stack(prepared, cfg.input_channels)
-    raise ValueError(f"unknown input_mode {input_mode!r}")
+    return fusion.norm_stack(prepared, cfg.input_channels)
 
 
 def infer_keypoints(frame: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig,
-                    fusion_cfg: fusion.FusionConfig, *, use_tga: bool = True,
-                    input_mode: str = "fused") -> np.ndarray:
+                    fusion_cfg: fusion.FusionConfig) -> np.ndarray:
     """Keypoints for one frame in image pixel coordinates, shape (k, 2)."""
-    stack = preprocess_frame(frame, cfg, fusion_cfg, use_tga=use_tga,
-                             input_mode=input_mode)
+    stack = preprocess_frame(frame, cfg, fusion_cfg)
     x = Tensor(stack[None].astype(np.float32))
     coords, _, _ = keynet(x, params, cfg)
     return cell_to_pixel(coords.data[0], cfg.feature_stride)
@@ -253,13 +253,17 @@ def infer_keypoints(frame: np.ndarray, params: dict[str, Tensor], cfg: ModelConf
 # -- checkpoints ------------------------------------------------------------
 
 _CONFIG_RECORD = "__model_config__"
+# v1 checkpoints end after `normalize`, so later slots load as defaults;
+# `feature_stride` is written but not read; `input_mode` is its INPUT_MODES index
 _CONFIG_FIELDS = ("k", "input_channels", "input_size", "feature_stride",
-                  "heatmap_sigma", "cbam_enabled", "base_channels", "normalize")
+                  "heatmap_sigma", "use_cbam", "base_channels", "normalize",
+                  "use_tga", "input_mode")
 
 
 def save_model(path, params: dict[str, Tensor], cfg: ModelConfig):
-    header = np.array([float(getattr(cfg, f)) for f in _CONFIG_FIELDS],
-                      dtype=np.float32)
+    values = [getattr(cfg, f) for f in _CONFIG_FIELDS]
+    header = np.array([INPUT_MODES.index(v) if isinstance(v, str) else float(v)
+                       for v in values], dtype=np.float32)
     records = {_CONFIG_RECORD: header}
     records.update(params)
     save_tensors(path, records)
@@ -270,14 +274,15 @@ def load_model(path) -> tuple[dict[str, Tensor], ModelConfig]:
     if _CONFIG_RECORD not in records:
         raise ValueError(f"{path}: missing model config record")
     vals = records.pop(_CONFIG_RECORD)
+    types = get_type_hints(ModelConfig)
     kwargs = {}
     for name, v in zip(_CONFIG_FIELDS, vals):
-        if name == "heatmap_sigma":
-            kwargs[name] = float(v)
-        elif name in ("cbam_enabled", "normalize"):
-            kwargs[name] = bool(v)
-        else:
-            kwargs[name] = int(v)
+        if types.get(name) is str:
+            if v not in range(len(INPUT_MODES)):
+                raise ValueError(f"{path}: checkpoint {name} slot {v} is out of range")
+            kwargs[name] = INPUT_MODES[int(v)]
+        elif name in types:
+            kwargs[name] = types[name](v)
     cfg = ModelConfig(**kwargs).validate()
     params = {name: Tensor(arr, requires_grad=True) for name, arr in records.items()}
     return params, cfg
@@ -285,7 +290,7 @@ def load_model(path) -> tuple[dict[str, Tensor], ModelConfig]:
 
 def check_config_match(loaded: ModelConfig, expected: ModelConfig):
     """Reject checkpoint/config mismatches, naming both values."""
-    for f in ("k", "input_channels", "input_size", "feature_stride"):
+    for f in ("k", "input_channels", "input_size", "use_tga", "input_mode"):
         a, b = getattr(loaded, f), getattr(expected, f)
         if a != b:
             raise ValueError(f"checkpoint {f}={a} does not match configured {f}={b}")

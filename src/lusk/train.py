@@ -7,7 +7,7 @@ pair sampling and batch order all draw from one seeded generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,7 @@ class TrainConfig:
     ssim_threshold: float = 0.85
     max_pair_gap: int = 10
     seed: int = 0
-    use_tga: bool = True
     use_ssim_gate: bool = True
-    use_cbam: bool = False
-    input_mode: str = "fused"   # or "norm_stack"
     pair_retry_factor: int = 50
     pretrain_epochs: int = 10
     checkpoint_every: int = 10
@@ -42,16 +39,13 @@ class TrainConfig:
     def validate(self):
         if not 0.0 < self.ssim_threshold <= 1.0:
             raise ValueError(f"ssim_threshold must be in (0,1], got {self.ssim_threshold}")
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be > 0, got {self.lr0}")
-        if self.lr_decay <= 0:
-            raise ValueError(f"lr_decay must be > 0, got {self.lr_decay}")
+        for name in ("lr0", "lr_decay"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("epochs", "batch_size", "lr_interval", "max_pair_gap",
                      "pair_retry_factor", "pretrain_epochs", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.input_mode not in ("fused", "norm_stack"):
-            raise ValueError(f"unknown input_mode {self.input_mode!r}")
         return self
 
 
@@ -78,16 +72,16 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.lr_decay ** (epoch // cfg.lr_interval)
 
 
-def pipeline_trace(cfg: TrainConfig) -> list[str]:
+def pipeline_trace(cfg: TrainConfig, model_cfg: model.ModelConfig) -> list[str]:
     """Ordered list of pipeline stages enabled by the config switches."""
     stages = ["resize"]
-    if cfg.use_tga:
+    if model_cfg.use_tga:
         stages.append("tga")
-    stages.append("fuse" if cfg.input_mode == "fused" else "norm_stack")
+    stages.append("fuse" if model_cfg.input_mode == "fused" else "norm_stack")
     if cfg.use_ssim_gate:
         stages.append("ssim_gate")
     stages.append("encode")
-    if cfg.use_cbam:
+    if model_cfg.use_cbam:
         stages.append("cbam")
     stages += ["keynet", "transport", "refine"]
     return stages
@@ -132,14 +126,12 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
 
 
 def compute_stacks(videos, model_cfg: model.ModelConfig,
-                   fusion_cfg: fusion.FusionConfig, cfg: TrainConfig):
+                   fusion_cfg: fusion.FusionConfig):
     """Per-frame feature stacks for every video, computed once and cached."""
     stacks = []
     for frames in videos:
         stacks.append(np.stack([
-            model.preprocess_frame(f, model_cfg, fusion_cfg,
-                                   use_tga=cfg.use_tga, input_mode=cfg.input_mode)
-            for f in frames]))
+            model.preprocess_frame(f, model_cfg, fusion_cfg) for f in frames]))
     return stacks
 
 
@@ -208,7 +200,7 @@ def train(videos, model_cfg: model.ModelConfig, fusion_cfg: fusion.FusionConfig,
     epoch's learning rate. Deterministic given cfg.seed.
     """
     cfg.validate()
-    model_cfg = replace(model_cfg, cbam_enabled=cfg.use_cbam).validate()
+    model_cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     params = model.init_params(model_cfg, rng)
     if init is not None:
@@ -216,7 +208,7 @@ def train(videos, model_cfg: model.ModelConfig, fusion_cfg: fusion.FusionConfig,
             if name in params:
                 params[name] = Tensor(tensor.data.astype(np.float32), requires_grad=True)
     pairs = sample_pairs(videos, cfg, pair_count, rng)
-    stacks = compute_stacks(videos, model_cfg, fusion_cfg, cfg)
+    stacks = compute_stacks(videos, model_cfg, fusion_cfg)
 
     def batch_loss(idx):
         batch = [pairs[i] for i in idx]
@@ -234,7 +226,7 @@ def train(videos, model_cfg: model.ModelConfig, fusion_cfg: fusion.FusionConfig,
     if checkpoint_path:
         model.save_model(checkpoint_path, params, model_cfg)
     return TrainResult(params=params, losses=losses, lrs=lrs,
-                       trace=pipeline_trace(cfg))
+                       trace=pipeline_trace(cfg, model_cfg))
 
 
 def write_loss_csv(path, losses, lrs):

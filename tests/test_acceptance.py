@@ -248,23 +248,23 @@ def test_criterion_7_transport_identities():
 def test_criterion_8_ablation_traces():
     video, _ = generate(SceneSpec(frames=8, size=32, seed=0))
     mcfg_kw = dict(input_size=32, k=3, base_channels=8)
-    combos = [
-        (dict(), ["resize", "tga", "fuse", "ssim_gate", "encode",
-                  "keynet", "transport", "refine"]),
-        (dict(use_tga=False), ["resize", "fuse", "ssim_gate", "encode",
-                               "keynet", "transport", "refine"]),
-        (dict(use_ssim_gate=False, input_mode="norm_stack"),
+    combos = [  # (model switches, train switches, expected trace)
+        (dict(), dict(), ["resize", "tga", "fuse", "ssim_gate", "encode",
+                          "keynet", "transport", "refine"]),
+        (dict(use_tga=False), dict(), ["resize", "fuse", "ssim_gate", "encode",
+                                       "keynet", "transport", "refine"]),
+        (dict(input_mode="norm_stack"), dict(use_ssim_gate=False),
          ["resize", "tga", "norm_stack", "encode",
           "keynet", "transport", "refine"]),
-        (dict(use_cbam=True), ["resize", "tga", "fuse", "ssim_gate", "encode",
-                               "cbam", "keynet", "transport", "refine"]),
+        (dict(use_cbam=True), dict(), ["resize", "tga", "fuse", "ssim_gate", "encode",
+                                       "cbam", "keynet", "transport", "refine"]),
     ]
     ok = True
-    for switches, expected in combos:
+    for model_switches, train_switches, expected in combos:
         tcfg = TrainConfig(epochs=1, batch_size=4, seed=0, ssim_threshold=0.5,
-                           **switches)
-        ok = ok and pipeline_trace(tcfg) == expected
-        result = training.train([video], ModelConfig(**mcfg_kw), FusionConfig(),
-                                tcfg, pair_count=4)
+                           **train_switches)
+        mcfg = ModelConfig(**mcfg_kw, **model_switches)
+        ok = ok and pipeline_trace(tcfg, mcfg) == expected
+        result = training.train([video], mcfg, FusionConfig(), tcfg, pair_count=4)
         ok = ok and result.trace == expected
     _line(8, "ablation switch integrity", ok)

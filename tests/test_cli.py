@@ -20,7 +20,7 @@ class TestConfig:
     def test_serialize_parse_fixed_point(self):
         cfg = RunConfig()
         cfg.fusion.sigma0 = 0.6
-        cfg.train.use_cbam = True
+        cfg.model.use_cbam = True
         cfg.scene.b_lines = (BLineSpec(0.3, 0.1, 1.5, 0.9), BLineSpec())
         text = serialize_config(cfg.validate())
         cfg2 = parse_config(text).validate()
@@ -62,9 +62,10 @@ class TestConfig:
         assert keys == [
             "sigma0", "lambdas", "thresh", "epsilon", "attenuation_a",
             "energy_denominator_mode",
-            "k", "input_size", "feature_stride", "heatmap_sigma", "base_channels",
+            "k", "input_size", "heatmap_sigma", "use_cbam", "base_channels",
+            "use_tga", "input_mode",
             "epochs", "batch_size", "lr0", "lr_decay", "lr_interval", "ssim_threshold",
-            "max_pair_gap", "use_tga", "use_ssim_gate", "use_cbam", "input_mode",
+            "max_pair_gap", "use_ssim_gate",
             "pair_retry_factor", "pretrain_epochs", "checkpoint_every",
             "frames", "size", "pleura_depth", "amplitude", "frequency",
             "pleura_brightness", "pleura_thickness", "a_line_count", "a_line_decay",
@@ -154,6 +155,26 @@ class TestPipeline:
         assert 0.0 <= report.pleura_accuracy <= 1.0
         assert (tmp_path / "report_frames.csv").exists()
 
+    def test_infer_preprocesses_as_trained(self, dataset, tmp_path, capsys):
+        # the checkpoint records the input pipeline, so infer needs no --config
+        switches = ["--set", "input_mode=norm_stack", "--set", "use_tga=false"]
+        ckpt = tmp_path / "norm.lusk"
+        assert main(["train", *TINY, *switches, "--seed", "0",
+                     "--data", str(dataset), "--out", str(ckpt)]) == 0
+        config = tmp_path / "norm.cfg"
+        config.write_text("\n".join(TINY[1::2] + switches[1::2]) + "\n")
+        for name, extra in (("bare", []), ("configured", ["--config", str(config)])):
+            assert main(["infer", *extra, "--ckpt", str(ckpt), "--data", str(dataset),
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "bare" / "keypoints.csv").read_bytes()
+                == (tmp_path / "configured" / "keypoints.csv").read_bytes())
+        # a config whose input pipeline disagrees with the checkpoint is refused
+        config.write_text("\n".join(TINY[1::2]) + "\n")
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config), "--ckpt", str(ckpt),
+                     "--data", str(dataset), "--out", str(tmp_path / "fused")]) == 2
+        assert "use_tga" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_key_is_config_error(self, tmp_path):
@@ -180,7 +201,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("setting", [
         "checkpoint_every=0", "lr_interval=0", "batch_size=0", "pair_retry_factor=0",
-        "pretrain_epochs=0", "lr_decay=0", "lr_decay=-0.5"])
+        "pretrain_epochs=0", "lr_decay=0", "lr_decay=-0.5", "lr0=nan", "lr0=inf",
+        "heatmap_sigma=inf", "thresh=nan", "lambdas=3.0,nan", "lambdas=3.0,6.0,9.0"])
     @pytest.mark.parametrize("command", ["pretrain", "train"])
     def test_bad_train_setting_is_config_error(self, command, setting, tmp_path, capsys):
         # the data directory does not exist: the setting must be rejected first

@@ -6,7 +6,7 @@ from lusk.model import (ModelConfig, cbam, cell_to_pixel, check_config_match,
                         encode, infer_keypoints, init_params, keynet,
                         load_model, render_heatmaps, reconstruct, refine,
                         save_model, transport)
-from lusk.tensor import ShapeError, Tensor
+from lusk.tensor import ShapeError, Tensor, save_tensors
 
 
 def small_cfg(**kw):
@@ -175,20 +175,20 @@ class TestRefine:
 
 class TestCbam:
     def test_shape_preserved(self):
-        cfg = small_cfg(cbam_enabled=True)
+        cfg = small_cfg(use_cbam=True)
         params = init_params(cfg, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).random((2, 32, 8, 8)).astype(np.float32))
         assert cbam(x, params, "encoder.cbam1").shape == x.shape
 
     def test_gates_never_amplify(self):
-        cfg = small_cfg(cbam_enabled=True)
+        cfg = small_cfg(use_cbam=True)
         params = init_params(cfg, np.random.default_rng(2))
         x = Tensor(np.abs(np.random.default_rng(3).random((1, 32, 8, 8))).astype(np.float32))
         out = cbam(x, params, "encoder.cbam1")
         assert np.all(np.abs(out.data) <= np.abs(x.data) + 1e-7)
 
     def test_saturated_gates_identity(self):
-        cfg = small_cfg(cbam_enabled=True)
+        cfg = small_cfg(use_cbam=True)
         params = init_params(cfg, np.random.default_rng(0))
         for name in ("ca_w1", "ca_w2", "sa.w"):
             params[f"encoder.cbam1.{name}"].data[:] = 0.0
@@ -200,7 +200,7 @@ class TestCbam:
         assert np.abs(out.data - x.data).max() < 1e-6
 
     def test_encode_with_cbam_shape(self):
-        cfg = small_cfg(cbam_enabled=True)
+        cfg = small_cfg(use_cbam=True)
         params = init_params(cfg, np.random.default_rng(0))
         assert encode(rand_stack(cfg), params, cfg).shape == (1, 64, 16, 16)
 
@@ -234,6 +234,25 @@ class TestCheckpoint:
     def test_config_mismatch_names_both_values(self):
         with pytest.raises(ValueError, match="k=3.*k=5"):
             check_config_match(small_cfg(), ModelConfig(input_size=64, k=5))
+
+    def test_v1_header_loads_fused_with_tga(self, tmp_path):
+        # k, input_channels, input_size, feature_stride, heatmap_sigma,
+        # use_cbam, base_channels, normalize: the 8 slots of a v1 checkpoint
+        header = np.array([3, 10, 64, 4, 1.5, 0, 32, 1], dtype=np.float32)
+        params = init_params(small_cfg(), np.random.default_rng(0))
+        path = tmp_path / "v1.lusk"
+        save_tensors(path, {"__model_config__": header, **params})
+        _, cfg = load_model(path)
+        assert cfg.use_tga is True and cfg.input_mode == "fused"
+        assert cfg == small_cfg()
+
+    @pytest.mark.parametrize("slot", [2.0, -1.0, 0.5, float("nan")])
+    def test_bad_input_mode_slot_rejected(self, slot, tmp_path):
+        header = np.array([3, 10, 64, 4, 1.5, 0, 32, 1, 1, slot], dtype=np.float32)
+        path = tmp_path / "bad.lusk"
+        save_tensors(path, {"__model_config__": header})
+        with pytest.raises(ValueError, match="input_mode"):
+            load_model(path)
 
     def test_missing_config_record_rejected(self, tmp_path):
         from lusk.tensor import save_tensors

@@ -56,14 +56,13 @@ class TestLrSchedule:
 
 class TestPipelineTrace:
     def test_default(self):
-        assert pipeline_trace(TrainConfig()) == [
+        assert pipeline_trace(TrainConfig(), ModelConfig()) == [
             "resize", "tga", "fuse", "ssim_gate", "encode",
             "keynet", "transport", "refine"]
 
     def test_all_switches(self):
-        cfg = TrainConfig(use_tga=False, use_ssim_gate=False, use_cbam=True,
-                          input_mode="norm_stack")
-        assert pipeline_trace(cfg) == [
+        mcfg = ModelConfig(use_tga=False, use_cbam=True, input_mode="norm_stack")
+        assert pipeline_trace(TrainConfig(use_ssim_gate=False), mcfg) == [
             "resize", "norm_stack", "encode", "cbam",
             "keynet", "transport", "refine"]
 
@@ -104,7 +103,7 @@ class TestPretrain:
     def test_loss_decreases(self, small_video):
         mcfg = tiny_model_cfg()
         tcfg = tiny_train_cfg(pretrain_epochs=4)
-        stacks = compute_stacks([small_video], mcfg, FusionConfig(), tcfg)[0]
+        stacks = compute_stacks([small_video], mcfg, FusionConfig())[0]
         params, losses = pretrain_encoder(stacks, mcfg, tcfg)
         assert len(losses) == 4
         assert losses[-1] < losses[0]
@@ -112,7 +111,7 @@ class TestPretrain:
     def test_returns_encoder_params_only(self, small_video):
         mcfg = tiny_model_cfg()
         tcfg = tiny_train_cfg()
-        stacks = compute_stacks([small_video[:4]], mcfg, FusionConfig(), tcfg)[0]
+        stacks = compute_stacks([small_video[:4]], mcfg, FusionConfig())[0]
         params, _ = pretrain_encoder(stacks, mcfg, tcfg)
         assert params
         assert all(name.startswith("encoder.") for name in params)
@@ -136,11 +135,11 @@ class TestTrain:
 
     def test_trajectory_length_and_lrs(self, small_video):
         tcfg = tiny_train_cfg(epochs=3, ssim_threshold=0.5)
-        result = train([small_video], tiny_model_cfg(), FusionConfig(),
-                       tcfg, pair_count=6)
+        mcfg = tiny_model_cfg()
+        result = train([small_video], mcfg, FusionConfig(), tcfg, pair_count=6)
         assert len(result.losses) == 3
         assert result.lrs == [lr_at(e, tcfg) for e in range(3)]
-        assert result.trace == pipeline_trace(tcfg)
+        assert result.trace == pipeline_trace(tcfg, mcfg)
 
     def test_checkpoint_written(self, small_video, tmp_path):
         path = tmp_path / "model.lusk"
@@ -154,21 +153,21 @@ class TestTrain:
     def test_pretrained_init_flows_through(self, small_video):
         mcfg = tiny_model_cfg()
         tcfg = tiny_train_cfg(epochs=1, ssim_threshold=0.5)
-        stacks = compute_stacks([small_video[:4]], mcfg, FusionConfig(), tcfg)[0]
+        stacks = compute_stacks([small_video[:4]], mcfg, FusionConfig())[0]
         enc, _ = pretrain_encoder(stacks, mcfg, tcfg)
         result = train([small_video], mcfg, FusionConfig(), tcfg,
                        pair_count=4, init=enc)
         assert len(result.losses) == 1
 
     def test_caller_model_config_unchanged(self, small_video, tmp_path):
-        mcfg = tiny_model_cfg()
+        mcfg = tiny_model_cfg(use_cbam=True)
         path = tmp_path / "model.lusk"
         train([small_video], mcfg, FusionConfig(),
-              tiny_train_cfg(epochs=1, ssim_threshold=0.5, use_cbam=True),
+              tiny_train_cfg(epochs=1, ssim_threshold=0.5),
               pair_count=4, checkpoint_path=path)
-        assert mcfg == tiny_model_cfg()
+        assert mcfg == tiny_model_cfg(use_cbam=True)
         _, saved = load_model(path)
-        assert saved.cbam_enabled
+        assert saved.use_cbam
 
     def test_invalid_config_rejected(self, small_video):
         with pytest.raises(ValueError, match="ssim_threshold"):
