@@ -92,6 +92,10 @@ def cmd_infer(args) -> int:
     params, model_cfg = model.load_model(args.ckpt)
     if args.config:
         model.check_config_match(model_cfg, cfg.model)
+    # the checkpoint fixes the model: a model key given by --set must agree with it
+    keys = [item.partition("=")[0].strip() for item in args.set or ()]
+    model.check_config_match(model_cfg, cfg.model,
+                             [k for k in keys if k in model.ModelConfig.__dataclass_fields__])
     frames = synth.load_frames(args.data)
     os.makedirs(args.out, exist_ok=True)
     scale = frames.shape[1] / model_cfg.input_size

@@ -288,9 +288,10 @@ def load_model(path) -> tuple[dict[str, Tensor], ModelConfig]:
     return params, cfg
 
 
-def check_config_match(loaded: ModelConfig, expected: ModelConfig):
-    """Reject checkpoint/config mismatches, naming both values."""
-    for f in ("k", "input_channels", "input_size", "use_tga", "input_mode"):
+def check_config_match(loaded: ModelConfig, expected: ModelConfig,
+                       fields=("k", "input_channels", "input_size", "use_tga", "input_mode")):
+    """Reject checkpoint/config mismatches in `fields`, naming both values."""
+    for f in fields:
         a, b = getattr(loaded, f), getattr(expected, f)
         if a != b:
             raise ValueError(f"checkpoint {f}={a} does not match configured {f}={b}")

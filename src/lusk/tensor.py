@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_MAGIC = b"LUSK"
 CHECKPOINT_VERSION = 1
@@ -191,12 +191,8 @@ class Tensor:
         return _op(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            n = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        total = self.sum(axis=axis, keepdims=keepdims)
+        return total * (total.size / self.size)
 
     def max(self, axis=None, keepdims=False):
         def backward(g):
@@ -296,55 +292,54 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # -- convolution and friends -----------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    hp = (h + 2 * pad - kh) // stride + 1
-    wp = (w + 2 * pad - kw) // stride + 1
-    v = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = v.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, hp * wp)
-    return np.ascontiguousarray(cols), hp, wp
-
-
-def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, pad, hp, wp):
-    n, c, h, w = x_shape
-    g6 = cols.reshape(n, c, kh, kw, hp, wp)
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i:i + stride * hp:stride, j:j + stride * wp:stride] += g6[:, :, i, j]
-    if pad:
-        out = out[:, :, pad:-pad, pad:-pad]
-    return out
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation), NCHW layout, zero padding."""
+    """2-D convolution (cross-correlation), NCHW layout, zero padding.
+
+    Shift-and-accumulate GEMM without an im2col buffer: kernel tap (i, j) is
+    one GEMM on a column slice of stride phase (i % s, j % s) of the padded
+    input, stored channel-major (c, n*hq*wq); margin outputs are cropped.
+    """
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
-    n = x.shape[0]
-    o, _, kh, kw = w.shape
-    cols, hp, wp = _im2col(x.data, kh, kw, stride, padding)
-    wmat = w.data.reshape(o, -1)
-    out_data = np.matmul(wmat, cols).reshape(n, o, hp, wp)
-    parents = [x, w]
+    (n, c, h, wd), (o, _, kh, kw), s, p = x.shape, w.shape, stride, padding
+    hp, wp = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
+    if min(hp, wp) < 1 or (b is not None and b.shape != (o,)):
+        raise ShapeError("conv2d", *(t.shape for t in (x, w, b) if t is not None))
+    hq, wq = hp + (kh - 1) // s, wp + (kw - 1) // s
+    rows, cols = min(h, hq * s - p), min(wd, wq * s - p)  # the input pixels taps read
+    xp = np.zeros((c, n, hq * s, wq * s), x.dtype)
+    xp[:, :, p:p + rows, p:p + cols] = x.data[:, :, :rows, :cols].swapaxes(0, 1)
+    ph = xp.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s, s, c, -1)
+    m = n * hq * wq - (kh - 1) // s * wq - (kw - 1) // s  # one past the last valid output
+    taps = [(i % s, j % s, slice(None), slice(i // s * wq + j // s, None))
+            for i in range(kh) for j in range(kw)]
+    wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(-1, o, c)
+    out = np.zeros((o, m), np.result_type(x.data, w.data))
+    for wij, tap in zip(wt, taps):
+        out += wij @ ph[tap][:, :m]
+    # out[:, (image * hq + row) * wq + col]: copy out the valid (hp, wp) corners as NCHW
+    out_data = as_strided(out, (n, o, hp, wp), [out.itemsize * k for k in (hq * wq, m, wq, 1)],
+                          writeable=False).copy()
     if b is not None:
-        if b.shape != (o,):
-            raise ShapeError("conv2d bias", b.shape, (o,))
-        out_data = out_data + b.data.reshape(1, o, 1, 1)
-        parents.append(b)
+        out_data += b.data.reshape(1, o, 1, 1)
 
     def backward(g):
-        go = g.reshape(n, o, hp * wp)
-        w._accumulate(np.einsum("nol,nkl->ok", go, cols).reshape(w.shape))
-        gcols = np.matmul(wmat.T, go)
-        x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, padding, hp, wp))
+        go = np.pad(g.swapaxes(0, 1), ((0, 0), (0, 0), (0, hq - hp), (0, wq - wp)))
+        go = go.reshape(o, -1)[:, :m]
+        gw = np.stack([go @ ph[tap][:, :m].T for tap in taps])
+        w._accumulate(gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
+        if x.requires_grad or x._parents:
+            gph = np.zeros(ph.shape, np.result_type(go, wt))
+            for wij, tap in zip(wt, taps):
+                gph[tap][:, :m] += wij.T @ go
+            gx = gph.reshape(s, s, c, n, hq, wq).transpose(3, 2, 4, 0, 5, 1)
+            gx = gx.reshape(n, c, hq * s, wq * s)[:, :, p:p + rows, p:p + cols]
+            x._accumulate(np.pad(gx, ((0, 0), (0, 0), (0, h - rows), (0, wd - cols))))
         if b is not None:
             b._accumulate(g.sum(axis=(0, 2, 3)))
 
-    return _op(out_data, tuple(parents), backward)
+    return _op(out_data, (x, w) if b is None else (x, w, b), backward)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

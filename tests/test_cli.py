@@ -236,6 +236,31 @@ class TestExitCodes:
         assert main(["infer", "--set", "bogus=1", "--ckpt", str(checkpoint),
                      "--data", str(dataset), "--out", str(tmp_path / "pred")]) == 2
 
+    @pytest.mark.parametrize("settings", [
+        ["k=7", "use_tga=false"], ["input_size=64"], ["heatmap_sigma=3.0"],
+        ["use_cbam=true"], ["base_channels=16"], ["input_mode=norm_stack"]])
+    def test_infer_rejects_model_override_unlike_checkpoint(self, settings, dataset,
+                                                           checkpoint, tmp_path, capsys):
+        # the checkpoint fixes the model; a model key set on the command line
+        # must agree with it, with or without --config
+        sets = [a for s in settings for a in ("--set", s)]
+        capsys.readouterr()
+        assert main(["infer", *sets, "--ckpt", str(checkpoint), "--data", str(dataset),
+                     "--out", str(tmp_path / "pred")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert settings[0].partition("=")[0] in err
+
+    def test_infer_accepts_model_override_like_checkpoint(self, dataset, checkpoint,
+                                                          tmp_path):
+        plain, same = tmp_path / "plain", tmp_path / "same"
+        assert main(["infer", "--ckpt", str(checkpoint), "--data", str(dataset),
+                     "--out", str(plain)]) == 0
+        assert main(["infer", *TINY, "--set", "use_tga=true", "--ckpt", str(checkpoint),
+                     "--data", str(dataset), "--out", str(same)]) == 0
+        assert ((plain / "keypoints.csv").read_bytes()
+                == (same / "keypoints.csv").read_bytes())
+
 
 # 10 frames x 3 slots, matching the TINY dataset
 GOOD_CSV = [f"{t},{s},{10.0 + s},5.0\n" for t in range(10) for s in range(3)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,78 @@ def _conv_oracle(x, w, stride, pad):
                     patch = xp[ni, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
                     out[ni, oi, i, j] = (patch * w[oi]).sum()
     return out
+
+
+def _conv_grad_oracle(x, w, g, stride, pad):
+    """Gradients of sum(g * (conv(x, w) + b)) in x, w and b, one kernel tap at a time."""
+    o, c, kh, kw = w.shape
+    _, _, hp, wp = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            rows = slice(i, i + stride * (hp - 1) + 1, stride)
+            cols = slice(j, j + stride * (wp - 1) + 1, stride)
+            gw[:, :, i, j] = np.einsum("norq,ncrq->oc", g, xp[:, :, rows, cols])
+            gxp[:, :, rows, cols] += np.einsum("norq,oc->ncrq", g, w[:, :, i, j])
+    gx = gxp[:, :, pad:pad + x.shape[2], pad:pad + x.shape[3]]
+    return gx, gw, g.sum(axis=(0, 2, 3))
+
+
+class TestConvOracleGrid:
+    """Forward and every gradient of conv2d against direct float64 oracles."""
+
+    @pytest.mark.parametrize("size", [(7, 7), (8, 8), (7, 9)])
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    @pytest.mark.parametrize("padding", [0, 1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_oracle(self, batch, stride, padding, kernel, size):
+        rng = np.random.default_rng(kernel * 100 + padding * 10 + stride)
+        x = t(rng.standard_normal((batch, 3, *size)))
+        w = t(rng.standard_normal((4, 3, kernel, kernel)))
+        b = t(rng.standard_normal(4))
+        out = conv2d(x, w, b, stride=stride, padding=padding)
+        ref = _conv_oracle(x.data, w.data, stride, padding) + b.data.reshape(1, 4, 1, 1)
+        assert out.shape == ref.shape
+        assert np.abs(out.data - ref).max() < 1e-10
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        for got, want in zip((x.grad, w.grad, b.grad),
+                             _conv_grad_oracle(x.data, w.data, g, stride, padding)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-10
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(0)
+        x = t(rng.standard_normal((2, 3, 7, 9)), grad=False)
+        w = t(rng.standard_normal((4, 3, 3, 3)))
+        out = conv2d(x, w, stride=2, padding=1)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        assert x.grad is None
+        assert np.abs(w.grad - _conv_grad_oracle(x.data, w.data, g, 2, 1)[1]).max() < 1e-10
+
+
+class TestConvMemory:
+    @pytest.mark.parametrize("shape,c_out", [((4, 32, 128, 128), 10), ((4, 64, 64, 64), 32)])
+    def test_step_peak_stays_near_operand_size(self, shape, c_out):
+        # an im2col buffer alone is 9x the input; forward plus backward must
+        # stay below 6x the input and output bytes together
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((c_out, shape[1], 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, padding=1)
+            out.sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and w.grad is not None
+        assert peak < 6 * (x.data.nbytes + out.data.nbytes)
 
 
 class TestBackward:
