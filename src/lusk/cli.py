@@ -17,7 +17,7 @@ from . import evaluate, fusion, model, synth, train as training
 from .config import ConfigError, RunConfig, load_config
 from .pgm import read_pgm, write_pgm
 from .synth import DatasetError
-from .tensor import save_tensors
+from .tensor import CheckpointError, save_tensors
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -90,6 +90,7 @@ def _overlay(frame: np.ndarray, coords: np.ndarray) -> np.ndarray:
 def cmd_infer(args) -> int:
     cfg = _run_config(args)
     params, model_cfg = model.load_model(args.ckpt)
+    model.check_keynet_params(params, model_cfg, args.ckpt)
     if args.config:
         model.check_config_match(model_cfg, cfg.model)
     # the checkpoint fixes the model: a model key given by --set must agree with it
@@ -214,7 +215,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DatasetError, FileNotFoundError) as exc:
+    except (DatasetError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, training.PairSamplingError) as exc:

@@ -31,10 +31,6 @@ class EvalReport:
     jitter: list = field(default_factory=list)  # per keypoint slot
 
 
-def default_delta(size: int) -> float:
-    return DEFAULT_DELTA * size / 64.0
-
-
 def _nearest_distances(keypoints, truth_values, axis: int):
     """Distance from each truth landmark to its nearest keypoint along one
     axis (0 = rows for horizontal lines, 1 = columns for vertical ones)."""
@@ -119,23 +115,6 @@ def write_report(path, report: EvalReport):
         for name in _SCALAR_FIELDS:
             f.write(f"{name}={getattr(report, name)!r}\n")
         f.write("jitter=" + ",".join(repr(j) for j in report.jitter) + "\n")
-
-
-def read_report(path) -> EvalReport:
-    report = EvalReport()
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            if key == "jitter":
-                report.jitter = [float(v) for v in value.split(",")] if value else []
-            elif key in _SCALAR_FIELDS:
-                setattr(report, key, _SCALAR_FIELDS[key](value))
-            else:
-                raise ValueError(f"{path}: unknown report key {key!r}")
-    return report
 
 
 def write_frame_csv(path, keypoints, truth, delta: float):

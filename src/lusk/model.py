@@ -14,8 +14,8 @@ from typing import get_type_hints
 import numpy as np
 
 from . import fusion
-from .tensor import (Tensor, ShapeError, concat, conv2d, instance_norm,
-                     load_tensors, save_tensors, spatial_softmax,
+from .tensor import (CheckpointError, Tensor, ShapeError, concat, conv2d,
+                     instance_norm, load_tensors, save_tensors, spatial_softmax,
                      stop_gradient, upsample_nearest2x)
 
 CBAM_REDUCTION = 8
@@ -270,22 +270,37 @@ def save_model(path, params: dict[str, Tensor], cfg: ModelConfig):
 
 
 def load_model(path) -> tuple[dict[str, Tensor], ModelConfig]:
+    """Parameters and config of a checkpoint; a malformed config record
+    raises CheckpointError."""
     records = load_tensors(path)
     if _CONFIG_RECORD not in records:
-        raise ValueError(f"{path}: missing model config record")
+        raise CheckpointError(f"{path}: missing model config record")
     vals = records.pop(_CONFIG_RECORD)
+    if vals.shape not in ((8,), (len(_CONFIG_FIELDS),)):
+        raise CheckpointError(f"{path}: model config record has shape {vals.shape}, "
+                              f"expected 8 or {len(_CONFIG_FIELDS)} slots")
     types = get_type_hints(ModelConfig)
     kwargs = {}
     for name, v in zip(_CONFIG_FIELDS, vals):
-        if types.get(name) is str:
-            if v not in range(len(INPUT_MODES)):
-                raise ValueError(f"{path}: checkpoint {name} slot {v} is out of range")
-            kwargs[name] = INPUT_MODES[int(v)]
-        elif name in types:
-            kwargs[name] = types[name](v)
-    cfg = ModelConfig(**kwargs).validate()
+        if name not in types:
+            continue
+        if not np.isfinite(v) or (types[name] is str and v not in range(len(INPUT_MODES))):
+            raise CheckpointError(f"{path}: checkpoint {name} slot {v} is out of range")
+        kwargs[name] = INPUT_MODES[int(v)] if types[name] is str else types[name](v)
+    try:
+        cfg = ModelConfig(**kwargs).validate()
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     params = {name: Tensor(arr, requires_grad=True) for name, arr in records.items()}
     return params, cfg
+
+
+def check_keynet_params(params: dict[str, Tensor], cfg: ModelConfig, path):
+    """Raise CheckpointError unless params holds every parameter keynet()
+    reads, at the shape cfg gives it; a pretrained encoder holds none."""
+    for name, p in init_params(cfg, np.random.default_rng(0)).items():
+        if name.startswith("keynet.") and getattr(params.get(name), "shape", None) != p.shape:
+            raise CheckpointError(f"{path}: no keynet parameter {name} of shape {p.shape}")
 
 
 def check_config_match(loaded: ModelConfig, expected: ModelConfig,

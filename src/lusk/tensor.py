@@ -8,6 +8,8 @@ gradient checking in float64.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -16,6 +18,10 @@ from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_MAGIC = b"LUSK"
 CHECKPOINT_VERSION = 1
+
+
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be read, is truncated or is malformed."""
 
 
 class ShapeError(ValueError):
@@ -58,15 +64,14 @@ class Tensor:
     mutates parameter data in place between steps.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None, name=None):
+    def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = _as_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(parents)
         self._backward = backward
-        self.name = name
 
     # -- basic introspection -------------------------------------------------
 
@@ -139,28 +144,6 @@ class Tensor:
                             lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, "div", np.divide,
-                            lambda g, a, b: g / b,
-                            lambda g, a, b: -g * a / (b * b))
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other, self) / self
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __pow__(self, exponent: float):
-        p = float(exponent)
-
-        def backward(g):
-            self._accumulate(g * p * self.data ** (p - 1.0))
-
-        return _op(self.data ** p, (self,), backward)
-
-    def sqrt(self):
-        return self ** 0.5
 
     # -- unary nonlinearities ------------------------------------------------
 
@@ -366,13 +349,24 @@ def spatial_softmax(x: Tensor) -> Tensor:
 
 
 def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-sample, per-channel normalization to zero mean and unit variance."""
+    """Per-sample, per-channel normalization to zero mean and unit variance.
+
+    y = (x - mean) * r with r = 1 / sqrt(var + eps) over axes (2, 3); the
+    backward is dx = r * (g - mean(g) - y * mean(g * y)) over the same axes.
+    """
     if x.ndim != 4:
         raise ShapeError("instance_norm", x.shape)
-    mu = x.mean(axis=(2, 3), keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=(2, 3), keepdims=True)
-    return xc / (var + eps).sqrt()
+    y = x.data - x.data.mean(axis=(2, 3), keepdims=True)
+    r = 1.0 / np.sqrt(np.square(y).mean(axis=(2, 3), keepdims=True) + eps)
+    y *= r
+
+    def backward(g):
+        gx = g - g.mean(axis=(2, 3), keepdims=True)
+        gx -= y * (g * y).mean(axis=(2, 3), keepdims=True)
+        gx *= r
+        x._accumulate(gx)
+
+    return _op(y, (x,), backward)
 
 
 # -- Adam optimizer ----------------------------------------------------------------
@@ -429,113 +423,75 @@ class Adam:
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + st.epsilon)
 
 
-# -- gradient checking ----------------------------------------------------------
-
-
-@dataclass
-class GradcheckReport:
-    max_rel_err: float
-    tolerance: float
-    passed: bool
-    checked: int
-
-    def __str__(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (f"gradcheck {status}: max rel err {self.max_rel_err:.3e} "
-                f"(tol {self.tolerance:.1e}, {self.checked} entries)")
-
-
-def gradcheck(fn, shapes=None, tolerance: float = 1e-4, eps: float = 1e-5,
-              seed: int = 0, max_entries: int = 40, inputs=None) -> GradcheckReport:
-    """Compare analytic gradients of a scalar-valued fn against central
-    differences, at seeded random float64 inputs (or explicit `inputs`).
-
-    Relative error is measured against the largest gradient magnitude of
-    each input, so uniformly tiny gradients do not produce spurious
-    failures. Failures are reported, never raised.
-    """
-    rng = np.random.default_rng(seed)
-    if inputs is None:
-        inputs = [Tensor(rng.standard_normal(s).astype(np.float64), requires_grad=True)
-                  for s in shapes]
-    else:
-        inputs = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
-    shapes = [t.shape for t in inputs]
-    loss = fn(*inputs)
-    loss.backward()
-    analytic = [np.zeros(s) if t.grad is None else t.grad.copy()
-                for s, t in zip(shapes, inputs)]
-
-    def eval_loss():
-        return fn(*[Tensor(t.data) for t in inputs]).item()
-
-    max_rel = 0.0
-    checked = 0
-    for t, a in zip(inputs, analytic):
-        flat = t.data.reshape(-1)
-        n_entries = flat.size
-        idx = np.arange(n_entries)
-        if n_entries > max_entries:
-            idx = rng.choice(n_entries, size=max_entries, replace=False)
-        numeric = np.zeros(len(idx))
-        for j, i in enumerate(idx):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = eval_loss()
-            flat[i] = orig - eps
-            f_minus = eval_loss()
-            flat[i] = orig
-            numeric[j] = (f_plus - f_minus) / (2.0 * eps)
-        a_sel = a.reshape(-1)[idx]
-        scale = max(np.abs(a_sel).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-8)
-        rel = np.abs(a_sel - numeric) / scale
-        max_rel = max(max_rel, float(rel.max(initial=0.0)))
-        checked += len(idx)
-    return GradcheckReport(max_rel_err=max_rel, tolerance=tolerance,
-                           passed=max_rel < tolerance, checked=checked)
-
-
 # -- checkpoint records ------------------------------------------------------------
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]):
     """Write named arrays as LUSK records: magic, version, then per record
-    name length/bytes, rank and dims as u64, float32 little-endian values."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for name, arr in tensors.items():
-            data = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<Q", data.ndim))
-            for d in data.shape:
-                f.write(struct.pack("<Q", d))
-            f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+    name length/bytes, rank and dims as u64, float32 little-endian values.
+
+    The records go to a temporary file beside `path` that then replaces it,
+    so a write that fails part-way leaves the previous file as it was.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            for name, arr in tensors.items():
+                data = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<I", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<Q", data.ndim))
+                for d in data.shape:
+                    f.write(struct.pack("<Q", d))
+                f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    """Read LUSK records; every length is checked against the file size, and
+    an unreadable, truncated or malformed file raises CheckpointError."""
+    try:
+        with open(path, "rb") as f:
+            blob = memoryview(f.read())
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
+    off = 0
+
+    def take(size, what):
+        nonlocal off
+        if size > len(blob) - off:
+            raise CheckpointError(f"{path}: file ends inside {what} "
+                                  f"(byte {off} of {len(blob)})")
+        off += size
+        return blob[off - size:off]
+
+    magic = take(4, "the magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(
+            f"{path}: bad magic {bytes(magic)!r}, expected {CHECKPOINT_MAGIC!r}")
+    (version,) = struct.unpack("<I", take(4, "the version"))
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    off = 8
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     out: dict[str, np.ndarray] = {}
     while off < len(blob):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        dims = struct.unpack_from(f"<{rank}Q", blob, off)
-        off += 8 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(dims)
-        off += 4 * count
-        out[name] = arr.astype(np.float32)
+        (nlen,) = struct.unpack("<I", take(4, "a record name length"))
+        try:
+            name = str(take(nlen, "a record name"), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: record name before byte {off} is not UTF-8") from None
+        (rank,) = struct.unpack("<Q", take(8, f"the rank of {name}"))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"the dims of {name}"))
+        values = take(4 * math.prod(dims), f"the values of {name}")
+        try:
+            out[name] = np.frombuffer(values, dtype="<f4").reshape(dims).astype(np.float32)
+        except ValueError as exc:  # more than 64 dims, or one past numpy's limit
+            raise CheckpointError(f"{path}: record {name}: {exc}") from None
     return out

@@ -1,8 +1,12 @@
-"""Reference implementations that the tests compare lusk.fusion against."""
+"""Reference implementations and checkers that the tests compare lusk against."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from lusk.evaluate import _SCALAR_FIELDS, EvalReport
 from lusk.fusion import MonogenicTriple, _frequency_grids, log_gabor_gain
+from lusk.tensor import Tensor
 
 
 def log_gabor_response(frame: np.ndarray, lambda0: float, sigma0: float) -> np.ndarray:
@@ -28,3 +32,84 @@ def monogenic_direct(frame: np.ndarray, lambda0: float, sigma0: float) -> Monoge
     return MonogenicTriple(m1=inv(spectrum),
                            m2=inv(spectrum * (1j * uu / safe)),
                            m3=inv(spectrum * (1j * vv / safe)))
+
+
+@dataclass
+class GradcheckReport:
+    max_rel_err: float
+    tolerance: float
+    passed: bool
+    checked: int
+
+    def __str__(self):
+        status = "PASS" if self.passed else "FAIL"
+        return (f"gradcheck {status}: max rel err {self.max_rel_err:.3e} "
+                f"(tol {self.tolerance:.1e}, {self.checked} entries)")
+
+
+def gradcheck(fn, shapes=None, tolerance: float = 1e-4, eps: float = 1e-5,
+              seed: int = 0, max_entries: int = 40, inputs=None) -> GradcheckReport:
+    """Compare analytic gradients of a scalar-valued fn against central
+    differences, at seeded random float64 inputs (or explicit `inputs`).
+
+    Relative error is measured against the largest gradient magnitude of
+    each input, so uniformly tiny gradients do not produce spurious
+    failures. Failures are reported, never raised.
+    """
+    rng = np.random.default_rng(seed)
+    if inputs is None:
+        inputs = [Tensor(rng.standard_normal(s).astype(np.float64), requires_grad=True)
+                  for s in shapes]
+    else:
+        inputs = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
+    shapes = [t.shape for t in inputs]
+    loss = fn(*inputs)
+    loss.backward()
+    analytic = [np.zeros(s) if t.grad is None else t.grad.copy()
+                for s, t in zip(shapes, inputs)]
+
+    def eval_loss():
+        return fn(*[Tensor(t.data) for t in inputs]).item()
+
+    max_rel = 0.0
+    checked = 0
+    for t, a in zip(inputs, analytic):
+        flat = t.data.reshape(-1)
+        n_entries = flat.size
+        idx = np.arange(n_entries)
+        if n_entries > max_entries:
+            idx = rng.choice(n_entries, size=max_entries, replace=False)
+        numeric = np.zeros(len(idx))
+        for j, i in enumerate(idx):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = eval_loss()
+            flat[i] = orig - eps
+            f_minus = eval_loss()
+            flat[i] = orig
+            numeric[j] = (f_plus - f_minus) / (2.0 * eps)
+        a_sel = a.reshape(-1)[idx]
+        scale = max(np.abs(a_sel).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-8)
+        rel = np.abs(a_sel - numeric) / scale
+        max_rel = max(max_rel, float(rel.max(initial=0.0)))
+        checked += len(idx)
+    return GradcheckReport(max_rel_err=max_rel, tolerance=tolerance,
+                           passed=max_rel < tolerance, checked=checked)
+
+
+def read_report(path) -> EvalReport:
+    """Parse a report written by lusk.evaluate.write_report."""
+    report = EvalReport()
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=")
+            if key == "jitter":
+                report.jitter = [float(v) for v in value.split(",")] if value else []
+            elif key in _SCALAR_FIELDS:
+                setattr(report, key, _SCALAR_FIELDS[key](value))
+            else:
+                raise ValueError(f"{path}: unknown report key {key!r}")
+    return report

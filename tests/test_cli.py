@@ -5,10 +5,10 @@ from lusk import fusion
 from lusk.cli import main, read_keypoints_csv
 from lusk.config import (ConfigError, RunConfig, load_config, parse_config,
                          serialize_config)
-from lusk.evaluate import read_report
 from lusk.pgm import read_pgm
 from lusk.synth import BLineSpec, DatasetError
-from lusk.tensor import load_tensors
+from lusk.tensor import load_tensors, save_tensors
+from oracles import read_report
 
 TINY = ["--set", "size=32", "--set", "frames=10", "--set", "input_size=32",
         "--set", "base_channels=8", "--set", "k=3", "--set", "epochs=2",
@@ -260,6 +260,45 @@ class TestExitCodes:
                      "--data", str(dataset), "--out", str(same)]) == 0
         assert ((plain / "keypoints.csv").read_bytes()
                 == (same / "keypoints.csv").read_bytes())
+
+
+# the first record is the 16-byte name "__model_config__": its rank is at
+# bytes 28-35 and its dims at 36-43; -2 cuts the last value short
+CHECKPOINT_CUTS = {"in_header": 6, "in_dims": 40, "in_data": -2}
+
+
+class TestBadCheckpoint:
+    """Every unusable --ckpt exits 3 with a single `data error:` line."""
+
+    def _infer_fails(self, ckpt, dataset, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["infer", "--ckpt", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(ckpt) in err
+
+    @pytest.mark.parametrize("cut", sorted(CHECKPOINT_CUTS))
+    def test_truncated(self, cut, dataset, checkpoint, tmp_path, capsys):
+        path = tmp_path / "cut.lusk"
+        path.write_bytes(checkpoint.read_bytes()[:CHECKPOINT_CUTS[cut]])
+        self._infer_fails(path, dataset, tmp_path, capsys)
+
+    def test_directory(self, dataset, tmp_path, capsys):
+        self._infer_fails(tmp_path, dataset, tmp_path, capsys)
+
+    def test_three_slot_header(self, dataset, checkpoint, tmp_path, capsys):
+        records = load_tensors(checkpoint)
+        records["__model_config__"] = records["__model_config__"][:3]
+        path = tmp_path / "short.lusk"
+        save_tensors(path, records)
+        self._infer_fails(path, dataset, tmp_path, capsys)
+
+    def test_pretrained_encoder(self, dataset, tmp_path, capsys):
+        path = tmp_path / "enc.lusk"
+        assert main(["pretrain", *TINY, "--set", "pretrain_epochs=1", "--data", str(dataset),
+                     "--out", str(path)]) == 0
+        self._infer_fails(path, dataset, tmp_path, capsys)
 
 
 # 10 frames x 3 slots, matching the TINY dataset

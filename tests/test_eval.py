@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lusk.evaluate import (DEFAULT_DELTA, EvalReport, default_delta, evaluate,
-                           landmark_distance, pleura_accuracy, read_report,
-                           temporal_jitter, write_frame_csv, write_report)
+from lusk.evaluate import (evaluate, landmark_distance, pleura_accuracy, temporal_jitter,
+                           write_frame_csv, write_report)
 from lusk.synth import GroundTruth
+from oracles import read_report
 
 
 def kp(*frames):
@@ -121,11 +121,6 @@ class TestTemporalJitter:
 
 
 class TestReport:
-    def test_default_delta_scaling(self):
-        assert default_delta(64) == 5.0
-        assert default_delta(256) == 20.0
-        assert DEFAULT_DELTA == 5.0
-
     def test_evaluate_round_trip(self, tmp_path):
         truth = GroundTruth(pleura_rows=[10.0, 11.0],
                             a_line_rows=[[20.0], [21.0]],

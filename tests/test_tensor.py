@@ -1,16 +1,21 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lusk.tensor import (Adam, GradcheckReport, ShapeError, Tensor, concat,
-                         conv2d, gradcheck, instance_norm, load_tensors, mse,
-                         save_tensors, spatial_softmax, stop_gradient,
-                         upsample_nearest2x)
+from lusk.tensor import (Adam, CheckpointError, ShapeError, Tensor, concat, conv2d,
+                         instance_norm, load_tensors, mse, save_tensors,
+                         spatial_softmax, stop_gradient, upsample_nearest2x)
+from oracles import gradcheck
 
 
 def t(data, grad=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
+
+
+def _square(y):
+    return y * y
 
 
 class TestForwardOps:
@@ -70,6 +75,16 @@ class TestForwardOps:
         y = instance_norm(x).data
         assert np.abs(y.mean(axis=(2, 3))).max() < 1e-6
         assert np.abs(y.std(axis=(2, 3)) - 1.0).max() < 1e-3
+
+    def test_instance_norm_matches_numpy(self):
+        x = np.random.default_rng(7).standard_normal((2, 3, 5, 7)) * 4 + 3
+        mu = x.mean(axis=(2, 3), keepdims=True)
+        ref = (x - mu) / np.sqrt(((x - mu) ** 2).mean(axis=(2, 3), keepdims=True) + 1e-5)
+        assert np.abs(instance_norm(t(x)).data - ref).max() < 1e-12
+
+    def test_instance_norm_is_one_node(self):
+        x = t(np.ones((1, 2, 3, 3)))
+        assert instance_norm(x)._parents == (x,)
 
     def test_stop_gradient_values_unchanged(self):
         x = t([1.0, -2.0, 3.0])
@@ -171,6 +186,22 @@ class TestConvMemory:
         assert peak < 6 * (x.data.nbytes + out.data.nbytes)
 
 
+class TestInstanceNormMemory:
+    def test_step_peak_stays_near_operand_size(self):
+        # one op keeps only its output and per-channel scale; the composite
+        # of mean, sub, mul, add, sqrt and div peaked at 8x the input bytes
+        x = Tensor(np.random.default_rng(0).standard_normal((8, 32, 32, 32)).astype(np.float32),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            instance_norm(x).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None
+        assert peak < 6 * x.data.nbytes
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = t([1.0, 2.0, 3.0])
@@ -213,8 +244,8 @@ _LINKAGE_OPS = [
     ("add", lambda a, b: a + b, [(2, 3), (2, 3)]),
     ("sub", lambda a, b: a - b, [(2, 3), (2, 3)]),
     ("mul", lambda a, b: a * b, [(2, 3), (2, 3)]),
-    ("div", lambda a, b: a / b, [(2, 3), (2, 3)]),
-    ("pow", lambda a: a ** 2.0, [(2, 3)]),
+    ("instance_norm", lambda a: instance_norm(a), [(2, 3, 4, 5)]),
+    ("rsub", lambda a: 1.0 - a, [(2, 3)]),
     ("exp", lambda a: a.exp(), [(2, 3)]),
     ("relu", lambda a: a.relu(), [(2, 3)]),
     ("sigmoid", lambda a: a.sigmoid(), [(2, 3)]),
@@ -273,17 +304,18 @@ class TestGradcheck:
     @pytest.mark.parametrize("name,fn,shapes", [
         ("add", lambda a, b: (a + b * 2.0).sum(), [(3, 4), (3, 4)]),
         ("sub", lambda a, b: ((a - b) * (a - b)).sum(), [(3, 4), (3, 4)]),
-        ("div", lambda a, b: (a / (b * b + 1.0)).sum(), [(3, 4), (3, 4)]),
+        ("instance_norm_batch", lambda a: (instance_norm(a) * Tensor(
+            np.random.default_rng(2).random((2, 3, 5, 7)))).sum(), [(2, 3, 5, 7)]),
         ("matmul", lambda a, b: (a @ b).sum(), [(3, 4), (4, 2)]),
         ("sigmoid", lambda a: a.sigmoid().sum(), [(5, 5)]),
         ("exp", lambda a: (a * 0.3).exp().sum(), [(4, 4)]),
         ("relu", lambda a: (a + 0.6).relu().sum(), [(4, 4)]),
-        ("pow", lambda a: ((a * a + 1.0) ** 0.5).sum(), [(4, 4)]),
+        ("rsub", lambda a: ((1.0 - a) * a).sum(), [(4, 4)]),
         ("mean", lambda a: (a * a).mean(axis=(0, 1)), [(4, 4)]),
         ("max", lambda a: a.max(axis=1).sum(), [(4, 6)]),
-        ("concat", lambda a, b: (concat([a, b], axis=1) ** 2.0).sum(),
+        ("concat", lambda a, b: _square(concat([a, b], axis=1)).sum(),
          [(2, 3), (2, 2)]),
-        ("upsample", lambda a: (upsample_nearest2x(a) ** 2.0).sum(), [(1, 2, 3, 3)]),
+        ("upsample", lambda a: _square(upsample_nearest2x(a)).sum(), [(1, 2, 3, 3)]),
         ("instance_norm", lambda a: (instance_norm(a) * Tensor(
             np.random.default_rng(1).random((1, 2, 4, 4)))).sum(), [(1, 2, 4, 4)]),
         ("mse", lambda a, b: mse(a, b), [(3, 4), (3, 4)]),
@@ -362,6 +394,33 @@ class TestCheckpoint:
         path = tmp_path / "ck.lusk"
         save_tensors(path, {"x": np.zeros(2, dtype=np.float32)})
         assert path.read_bytes()[:4] == b"LUSK"
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "ck.lusk"
+        save_tensors(path, {"w": np.ones((2, 3), np.float32), "s": np.array(1.5, np.float32)})
+        blob = path.read_bytes()
+        # a cut after the version or after record "w" leaves a shorter valid file
+        boundaries = {8, len(blob) - (4 + 1 + 8 + 4)}
+        for cut in sorted(set(range(len(blob))) - boundaries):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="ends inside"):
+                load_tensors(path)
+
+    def test_more_dims_than_numpy_holds_rejected(self, tmp_path):
+        path = tmp_path / "ck.lusk"
+        rank = 65  # a zero dim keeps the value count, and so the file, small
+        path.write_bytes(b"LUSK" + struct.pack("<IIcQ", 1, 1, b"x", rank) + bytes(8 * rank))
+        with pytest.raises(CheckpointError, match="record x"):
+            load_tensors(path)
+
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "ck.lusk"
+        save_tensors(path, {"x": np.arange(3, dtype=np.float32)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):  # the second record is not numeric
+            save_tensors(path, {"x": np.zeros(5, np.float32), "bad": np.array(["nan?"])})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.lusk"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.lusk"
