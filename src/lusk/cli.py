@@ -52,8 +52,18 @@ def cmd_fuse(args) -> int:
     return 0
 
 
+def _check_checkpoint_path(path):
+    """Reject an --out that save_model cannot write, before any training."""
+    if os.path.isdir(path):
+        raise CheckpointError(f"{path}: cannot write checkpoint: is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise CheckpointError(f"{path}: cannot write checkpoint: no directory {parent}")
+
+
 def cmd_pretrain(args) -> int:
     cfg = _run_config(args)
+    _check_checkpoint_path(args.out)
     frames = synth.load_frames(args.data)
     stacks = training.compute_stacks([frames], cfg.model, cfg.fusion)[0]
     enc_params, losses = training.pretrain_encoder(stacks, cfg.model, cfg.train)
@@ -64,6 +74,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
+    _check_checkpoint_path(args.out)
     frames = synth.load_frames(args.data)
     init = None
     if args.init:

@@ -12,9 +12,11 @@ All functions are pure; per-frame parallel extraction is safe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.signal import fftconvolve
 
 DEFAULT_LAMBDAS = tuple(float(x) for x in range(3, 31, 3))
@@ -58,6 +60,11 @@ class MonogenicTriple:
     m1: np.ndarray
     m2: np.ndarray
     m3: np.ndarray
+
+    @functools.cached_property
+    def odd(self) -> np.ndarray:
+        """Odd amplitude sqrt(m2^2 + m3^2), computed on first use."""
+        return np.sqrt(self.m2 ** 2 + self.m3 ** 2)
 
 
 def minmax_normalize(x: np.ndarray) -> np.ndarray:
@@ -108,27 +115,53 @@ def log_gabor_gain(omega: np.ndarray, lambda0: float, sigma0: float) -> np.ndarr
     return g
 
 
+@functools.lru_cache(maxsize=32)
+def _multipliers(shape: tuple, lambda0: float, sigma0: float):
+    """Read-only frequency multipliers of monogenic() for one frame shape
+    and wavelength: the log-Gabor gain G and the packed Riesz multiplier
+    G*(i*w_r - w_c)/|w|, whose inverse transform is m2 + i*m3.
+
+    On an even size the Nyquist row of the w_r term and the Nyquist column
+    of the w_c term are zero: there the term is not Hermitian, so its
+    inverse transform is purely imaginary, which the real part of one
+    component drops but the packed pair would add into the other.
+    """
+    rows, cols = shape
+    uu, vv, mag = _frequency_grids(rows, cols)
+    gain = log_gabor_gain(mag, lambda0, sigma0)
+    safe = np.where(mag > 0, mag, 1.0)
+    riesz = np.empty(shape, dtype=np.complex128)
+    riesz.real = -gain * vv / safe
+    riesz.imag = gain * uu / safe
+    if rows % 2 == 0:
+        riesz.imag[rows // 2, :] = 0.0
+    if cols % 2 == 0:
+        riesz.real[:, cols // 2] = 0.0
+    gain.flags.writeable = False
+    riesz.flags.writeable = False
+    return gain, riesz
+
+
 def monogenic(frame: np.ndarray, lambda0: float, sigma0: float) -> MonogenicTriple:
     """Monogenic signal of a frame at one wavelength.
 
     m1 is the log-Gabor bandpass; m2/m3 are the Riesz components along
     rows/columns, computed with the frequency multipliers i*w_r/|w| and
-    i*w_c/|w| (zero at DC).
+    i*w_c/|w| (zero at DC). Both come from one inverse transform: the
+    real frame makes each component's inverse real, so m2 + i*m3 is the
+    inverse of the spectrum times G*(i*w_r - w_c)/|w|.
     """
-    uu, vv, mag = _frequency_grids(*frame.shape)
-    spectrum = np.fft.fft2(frame) * log_gabor_gain(mag, lambda0, sigma0)
-    safe = np.where(mag > 0, mag, 1.0)
-    m1 = np.real(np.fft.ifft2(spectrum))
-    m2 = np.real(np.fft.ifft2(spectrum * (1j * uu / safe)))
-    m3 = np.real(np.fft.ifft2(spectrum * (1j * vv / safe)))
-    return MonogenicTriple(m1=m1, m2=m2, m3=m3)
+    gain, riesz = _multipliers(frame.shape, lambda0, sigma0)
+    spectrum = fft.fft2(frame)
+    m1 = fft.ifft2(spectrum * gain).real
+    pair = fft.ifft2(spectrum * riesz)
+    return MonogenicTriple(m1=m1, m2=pair.real, m3=pair.imag)
 
 
 def local_phase_raw(m: MonogenicTriple, epsilon: float = 1e-6) -> np.ndarray:
     """1 - atan(odd / (even + eps)): maximal (= 1) at even, line-like
     structure, falling toward 1 - pi/2 where odd energy dominates."""
-    odd = np.hypot(m.m2, m.m3)
-    return 1.0 - np.arctan(odd / (np.abs(m.m1) + epsilon))
+    return 1.0 - np.arctan(m.odd / (np.abs(m.m1) + epsilon))
 
 
 def local_phase(m: MonogenicTriple, epsilon: float = 1e-6) -> np.ndarray:
@@ -147,10 +180,8 @@ def phase_symmetry(m: MonogenicTriple, thresh: float = 0.01,
     """
     if thresh < 0:
         raise ValueError(f"thresh must be >= 0, got {thresh}")
-    even = m.m1
-    odd = np.hypot(m.m2, m.m3)
-    num = np.maximum(even - odd - thresh, 0.0)
-    energy = m.m1 ** 2 + m.m2 ** 2 + m.m3 ** 2
+    num = np.maximum(m.m1 - m.odd - thresh, 0.0)
+    energy = m.m1 ** 2 + m.odd ** 2
     if mode == "squared_energy":
         den = energy + epsilon
     elif mode == "sqrt_energy":
@@ -165,13 +196,13 @@ def fuse(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:
     min-max normalized. Returns (len(lambdas), H, W) in [0, 1]."""
     cfg.validate()
     weight = 1.0 - ibs(frame)
-    channels = []
-    for lam in cfg.lambdas:
+    out = np.empty((len(cfg.lambdas), *frame.shape), dtype=np.float32)
+    for c, lam in enumerate(cfg.lambdas):
         m = monogenic(frame, lam, cfg.sigma0)
         lp = local_phase(m, cfg.epsilon)
         fs = phase_symmetry(m, cfg.thresh, cfg.epsilon, cfg.energy_denominator_mode)
-        channels.append(minmax_normalize(lp * fs * weight))
-    return np.stack(channels).astype(np.float32)
+        out[c] = minmax_normalize(lp * fs * weight)
+    return out
 
 
 def norm_stack(frame: np.ndarray, n_channels: int = 10) -> np.ndarray:

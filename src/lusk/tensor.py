@@ -21,7 +21,7 @@ CHECKPOINT_VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """A checkpoint that cannot be read, is truncated or is malformed."""
+    """A checkpoint that cannot be read or written, is truncated or is malformed."""
 
 
 class ShapeError(ValueError):
@@ -431,7 +431,9 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
     name length/bytes, rank and dims as u64, float32 little-endian values.
 
     The records go to a temporary file beside `path` that then replaces it,
-    so a write that fails part-way leaves the previous file as it was.
+    so a write that fails part-way leaves the previous file as it was. An
+    OSError (a directory or a missing parent at `path`) raises
+    CheckpointError.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -450,6 +452,8 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot write checkpoint: {exc.strerror}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

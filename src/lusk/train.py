@@ -93,6 +93,7 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
 
     With the SSIM gate on, pairs below the threshold are rejected and
     resampled; runs out of retries with a diagnostic acceptance rate.
+    SSIM is symmetric, so each unordered frame pair is scored once.
     """
     cfg.validate()
     if rng is None:
@@ -101,6 +102,7 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
         if len(frames) < 2:
             raise DatasetError(f"video {v} has fewer than 2 frames")
     pairs: list[PairSample] = []
+    scores: dict[tuple[int, int, int], float] = {}
     attempts = 0
     budget = cfg.pair_retry_factor * count
     while len(pairs) < count:
@@ -118,7 +120,10 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
         j = int(rng.integers(lo, hi + 1))
         if j == i:
             continue
-        s = fusion.ssim(videos[v][i], videos[v][j])
+        key = (v, min(i, j), max(i, j))
+        if key not in scores:
+            scores[key] = fusion.ssim(videos[v][i], videos[v][j])
+        s = scores[key]
         if cfg.use_ssim_gate and s < cfg.ssim_threshold:
             continue
         pairs.append(PairSample(video=v, source=i, target=j, ssim=s))

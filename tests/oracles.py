@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from lusk.evaluate import _SCALAR_FIELDS, EvalReport
-from lusk.fusion import MonogenicTriple, _frequency_grids, log_gabor_gain
+from lusk.fusion import (FusionConfig, MonogenicTriple, _frequency_grids, ibs,
+                         log_gabor_gain, minmax_normalize, ssim)
 from lusk.tensor import Tensor
 
 
@@ -32,6 +33,48 @@ def monogenic_direct(frame: np.ndarray, lambda0: float, sigma0: float) -> Monoge
     return MonogenicTriple(m1=inv(spectrum),
                            m2=inv(spectrum * (1j * uu / safe)),
                            m3=inv(spectrum * (1j * vv / safe)))
+
+
+def fuse_composite(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:
+    """float64 fuse(), wavelength by wavelength: a fresh log-Gabor gain,
+    three separate inverse FFTs and np.hypot for the odd amplitude."""
+    uu, vv, mag = _frequency_grids(*frame.shape)
+    safe = np.where(mag > 0, mag, 1.0)
+    weight = 1.0 - ibs(frame)
+    channels = []
+    for lam in cfg.lambdas:
+        spectrum = np.fft.fft2(frame) * log_gabor_gain(mag, lam, cfg.sigma0)
+        even = np.real(np.fft.ifft2(spectrum))
+        m2 = np.real(np.fft.ifft2(spectrum * (1j * uu / safe)))
+        m3 = np.real(np.fft.ifft2(spectrum * (1j * vv / safe)))
+        odd = np.hypot(m2, m3)
+        lp = minmax_normalize(1.0 - np.arctan(odd / (np.abs(even) + cfg.epsilon)))
+        energy = even ** 2 + m2 ** 2 + m3 ** 2
+        if cfg.energy_denominator_mode == "squared_energy":
+            den = energy + cfg.epsilon
+        else:
+            den = np.sqrt(energy) + cfg.epsilon
+        fs = minmax_normalize(np.maximum(even - odd - cfg.thresh, 0.0) / den)
+        channels.append(minmax_normalize(lp * fs * weight))
+    return np.stack(channels)
+
+
+def sample_pairs_naive(videos, cfg, count: int, rng: np.random.Generator) -> list[tuple]:
+    """(video, source, target, ssim) as train.sample_pairs draws them, with
+    one ssim call per draw and no retry budget."""
+    pairs = []
+    while len(pairs) < count:
+        v = int(rng.integers(len(videos)))
+        n = len(videos[v])
+        i = int(rng.integers(n))
+        j = int(rng.integers(max(0, i - cfg.max_pair_gap), min(n - 1, i + cfg.max_pair_gap) + 1))
+        if j == i:
+            continue
+        s = ssim(videos[v][i], videos[v][j])
+        if cfg.use_ssim_gate and s < cfg.ssim_threshold:
+            continue
+        pairs.append((v, i, j, s))
+    return pairs
 
 
 @dataclass

@@ -1,13 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lusk import fusion
+from lusk import fusion, synth
+from lusk import train as training
 from lusk.cli import main, read_keypoints_csv
 from lusk.config import (ConfigError, RunConfig, load_config, parse_config,
                          serialize_config)
 from lusk.pgm import read_pgm
 from lusk.synth import BLineSpec, DatasetError
-from lusk.tensor import load_tensors, save_tensors
+from lusk.tensor import CheckpointError, load_tensors, save_tensors
 from oracles import read_report
 
 TINY = ["--set", "size=32", "--set", "frames=10", "--set", "input_size=32",
@@ -299,6 +302,39 @@ class TestBadCheckpoint:
         assert main(["pretrain", *TINY, "--set", "pretrain_epochs=1", "--data", str(dataset),
                      "--out", str(path)]) == 0
         self._infer_fails(path, dataset, tmp_path, capsys)
+
+
+OUT_PATHS = {"directory": lambda tmp: tmp, "missing_parent": lambda tmp: tmp / "no" / "m.lusk"}
+
+
+class TestUnwritableOut:
+    """train and pretrain reject an --out they cannot write before reading
+    data or training: exit 3 with a single `data error:` line."""
+
+    @pytest.mark.parametrize("where", sorted(OUT_PATHS))
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_rejected_before_any_work(self, command, where, dataset, tmp_path,
+                                      monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for module, name in [(synth, "load_frames"), (training, "train"),
+                             (training, "pretrain_encoder")]:
+            monkeypatch.setattr(module, name, refuse)
+        out = OUT_PATHS[where](tmp_path)
+        capsys.readouterr()
+        assert main([command, *TINY, "--data", str(dataset), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(out) in err
+
+    @pytest.mark.parametrize("where", sorted(OUT_PATHS))
+    def test_save_tensors_names_the_path(self, where, tmp_path):
+        out = OUT_PATHS[where](tmp_path)
+        with pytest.raises(CheckpointError, match="cannot write checkpoint") as info:
+            save_tensors(out, {"x": np.zeros(3, np.float32)})
+        assert str(out) in str(info.value)
+        assert not Path(f"{out}.tmp").exists()
 
 
 # 10 frames x 3 slots, matching the TINY dataset

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,12 @@ from lusk.fusion import (FusionConfig, MonogenicTriple, fuse, ibs,
                          local_phase, local_phase_raw, log_gabor_gain,
                          minmax_normalize, monogenic, norm_stack,
                          phase_symmetry, resize_bilinear, ssim, tga)
-from oracles import log_gabor_response, monogenic_direct
+from lusk.synth import SceneSpec, generate
+from oracles import fuse_composite, log_gabor_response, monogenic_direct
+
+# shapes where the Nyquist lines of the packed Riesz multiplier matter:
+# odd rows and columns, even rows with odd columns, odd rows with even columns
+ODD_EVEN_SHAPES = [(15, 15), (16, 17), (31, 48)]
 
 
 def line_frame(size=32, row=10, background=0.05, brightness=1.0):
@@ -86,13 +93,18 @@ class TestMonogenic:
 
     def test_fft_matches_direct_dft_oracle(self):
         rng = np.random.default_rng(11)
-        for _ in range(3):
-            frame = rng.random((16, 16))
+        for shape in [(16, 16)] * 3 + ODD_EVEN_SHAPES:
+            frame = rng.random(shape)
             a = monogenic(frame, 6.0, 0.55)
             b = monogenic_direct(frame, 6.0, 0.55)
             assert np.abs(a.m1 - b.m1).max() < 1e-8
             assert np.abs(a.m2 - b.m2).max() < 1e-8
             assert np.abs(a.m3 - b.m3).max() < 1e-8
+
+    def test_cached_multipliers_are_read_only(self):
+        for multiplier in fusion._multipliers((16, 16), 6.0, 0.55):
+            with pytest.raises(ValueError, match="read-only"):
+                multiplier[0, 0] = 1.0
 
     def test_transpose_swaps_riesz_components(self):
         frame = np.random.default_rng(12).random((16, 16))
@@ -186,6 +198,35 @@ class TestFuse:
         with pytest.raises(ValueError, match="sigma0"):
             fuse(np.zeros((8, 8)), FusionConfig(sigma0=1.2))
 
+    @pytest.mark.parametrize("shape", ODD_EVEN_SHAPES)
+    @pytest.mark.parametrize("mode", ["sqrt_energy", "squared_energy"])
+    def test_matches_composite_oracle(self, shape, mode):
+        frame = np.random.default_rng(6).random(shape)
+        cfg = FusionConfig(energy_denominator_mode=mode)
+        assert np.abs(fuse(frame, cfg) - fuse_composite(frame, cfg)).max() < 1e-6
+
+    def test_equals_composite_oracle_on_desk_frames(self):
+        video, _ = generate(SceneSpec(frames=4, size=64, seed=2))
+        cfg = FusionConfig()
+        for frame in video:
+            prepared = fusion.prepare_frame(frame, 64, cfg.attenuation_a)
+            assert np.array_equal(fuse(prepared, cfg),
+                                  fuse_composite(prepared, cfg).astype(np.float32))
+
+    @pytest.mark.parametrize("other", [dict(sigma0=0.65), dict(lambdas=(6.5, 9.5, 12.5))])
+    def test_cache_tells_configs_apart(self, other):
+        # one config warms the cache, then a config that differs only in
+        # sigma0 or only in lambdas must equal its own cold computation
+        frame = np.random.default_rng(7).random((24, 24))
+        base = FusionConfig(lambdas=(6.0, 9.0, 12.0))
+        changed = FusionConfig(**{"lambdas": base.lambdas, **other})
+        fusion._multipliers.cache_clear()
+        cold = fuse(frame, changed)
+        fusion._multipliers.cache_clear()
+        fuse(frame, base)
+        assert np.array_equal(fuse(frame, changed), cold)
+        assert not np.array_equal(cold, fuse(frame, base))
+
     def test_tga_suppresses_rows_below_deep_patch(self):
         # bright pleura-like line plus a deep bright patch; with TGA the
         # fused energy below the patch must drop vs. the raw pipeline
@@ -197,6 +238,22 @@ class TestFuse:
         below_raw = stack_raw[:, 50:, :].sum()
         below_tga = stack_tga[:, 50:, :].sum()
         assert below_tga < below_raw
+
+
+class TestFuseMemory:
+    def test_peak_below_six_stacks(self):
+        # stream inference's peak allocation must stay the keypoint
+        # network's; an all-wavelengths-at-once fuse peaks near 28 stacks
+        frame = np.random.default_rng(8).random((64, 64))
+        cfg = FusionConfig()
+        stack = fuse(frame, cfg)
+        tracemalloc.start()
+        try:
+            fuse(frame, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * stack.nbytes
 
 
 class TestNormStack:
@@ -258,7 +315,8 @@ class TestSsim:
     def test_symmetry(self):
         rng = np.random.default_rng(10)
         a, b = rng.random((16, 16)), rng.random((16, 16))
-        assert abs(ssim(a, b) - ssim(b, a)) < 1e-12
+        # exact: train.sample_pairs scores each unordered pair once
+        assert ssim(a, b) == ssim(b, a)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes differ"):

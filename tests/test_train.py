@@ -1,14 +1,18 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lusk import fusion
 from lusk.fusion import FusionConfig
 from lusk.model import ModelConfig, load_model
 from lusk.synth import SceneSpec, generate
 from lusk.train import (PairSamplingError, TrainConfig, compute_stacks, lr_at,
                         pipeline_trace, pretrain_encoder, sample_pairs, train,
                         write_loss_csv)
+from oracles import sample_pairs_naive
 
 
 def tiny_model_cfg(**kw):
@@ -88,6 +92,29 @@ class TestSamplePairs:
         a = sample_pairs([small_video], cfg, 10)
         b = sample_pairs([small_video], cfg, 10)
         assert a == b
+
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_equals_naive_oracle(self, gate, small_video):
+        videos = [small_video, generate(SceneSpec(frames=9, size=32, seed=1))[0]]
+        cfg = tiny_train_cfg(ssim_threshold=0.5, max_pair_gap=3, use_ssim_gate=gate)
+        pairs = sample_pairs(videos, cfg, 60, np.random.default_rng(4))
+        assert [(p.video, p.source, p.target, p.ssim) for p in pairs] == \
+            sample_pairs_naive(videos, cfg, 60, np.random.default_rng(4))
+
+    def test_one_ssim_per_unordered_pair(self, small_video, monkeypatch):
+        videos = [small_video, generate(SceneSpec(frames=9, size=32, seed=1))[0]]
+        calls = Counter()
+        ssim = fusion.ssim
+
+        def counted(a, b):
+            calls[frozenset((a.tobytes(), b.tobytes()))] += 1
+            return ssim(a, b)
+
+        monkeypatch.setattr(fusion, "ssim", counted)
+        cfg = tiny_train_cfg(ssim_threshold=0.5, max_pair_gap=3)
+        sample_pairs(videos, cfg, 60, np.random.default_rng(4))
+        assert set(calls.values()) == {1}
+        assert len(calls) < 60  # fewer pairs scored than kept: draws repeated
 
     def test_impossible_threshold_exhausts_budget(self, small_video):
         cfg = tiny_train_cfg(ssim_threshold=1.0, pair_retry_factor=5)
