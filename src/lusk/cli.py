@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DatasetError, CheckpointError, FileNotFoundError) as exc:
+    except (DatasetError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, training.PairSamplingError) as exc:

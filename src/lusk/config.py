@@ -100,7 +100,6 @@ _FIELD_CODECS = {"lambdas": (_parse_lambdas, _format_lambdas),
 _INTERNAL = {
     "seed",            # copied from the top-level seed by RunConfig.validate
     "input_channels",  # fixed by the 10-channel feature stack
-    "normalize",       # instance norm; switched off only in linearity tests
 }
 
 

@@ -29,9 +29,9 @@ class FusionConfig:
     thresh: float = 0.01
     epsilon: float = 1e-6
     attenuation_a: float = 1.5
-    # sqrt_energy divides by local amplitude; squared_energy divides by
-    # squared energy, which favors low-energy sidelobes over line centers
-    energy_denominator_mode: str = "sqrt_energy"
+    # not a field: phase_symmetry always divides by the local amplitude;
+    # kept only because perfbench/checks.py reads it
+    energy_denominator_mode = "sqrt_energy"
 
     def validate(self):
         if not 0.0 < self.sigma0 < 1.0:
@@ -47,9 +47,6 @@ class FusionConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.attenuation_a < 0:
             raise ValueError(f"attenuation_a must be >= 0, got {self.attenuation_a}")
-        if self.energy_denominator_mode not in ("squared_energy", "sqrt_energy"):
-            raise ValueError(
-                f"unknown energy_denominator_mode {self.energy_denominator_mode!r}")
         return self
 
 
@@ -170,10 +167,9 @@ def local_phase(m: MonogenicTriple, epsilon: float = 1e-6) -> np.ndarray:
 
 
 def phase_symmetry(m: MonogenicTriple, thresh: float = 0.01,
-                   epsilon: float = 1e-6,
-                   mode: str = "squared_energy") -> np.ndarray:
-    """Even-symmetry detector: floor(even - odd - thresh, 0) over local
-    energy, min-max normalized to [0, 1].
+                   epsilon: float = 1e-6) -> np.ndarray:
+    """Even-symmetry detector: floor(even - odd - thresh, 0) over the local
+    amplitude sqrt(even^2 + odd^2) + eps, min-max normalized to [0, 1].
 
     The even response is signed (bright-polarity), so dark troughs such as
     the negative sidelobes flanking a bright line do not respond.
@@ -181,13 +177,7 @@ def phase_symmetry(m: MonogenicTriple, thresh: float = 0.01,
     if thresh < 0:
         raise ValueError(f"thresh must be >= 0, got {thresh}")
     num = np.maximum(m.m1 - m.odd - thresh, 0.0)
-    energy = m.m1 ** 2 + m.odd ** 2
-    if mode == "squared_energy":
-        den = energy + epsilon
-    elif mode == "sqrt_energy":
-        den = np.sqrt(energy) + epsilon
-    else:
-        raise ValueError(f"unknown energy denominator mode {mode!r}")
+    den = np.sqrt(m.m1 ** 2 + m.odd ** 2) + epsilon
     return minmax_normalize(num / den)
 
 
@@ -200,7 +190,7 @@ def fuse(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:
     for c, lam in enumerate(cfg.lambdas):
         m = monogenic(frame, lam, cfg.sigma0)
         lp = local_phase(m, cfg.epsilon)
-        fs = phase_symmetry(m, cfg.thresh, cfg.epsilon, cfg.energy_denominator_mode)
+        fs = phase_symmetry(m, cfg.thresh, cfg.epsilon)
         out[c] = minmax_normalize(lp * fs * weight)
     return out
 
@@ -212,27 +202,30 @@ def norm_stack(frame: np.ndarray, n_channels: int = 10) -> np.ndarray:
     return np.stack([(frame - mu) / 0.5 for mu in mus]).astype(np.float32)
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     ax = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
     k = np.outer(g, g)
     return k / k.sum()
 
 
-def ssim(frame_a: np.ndarray, frame_b: np.ndarray, *, window_size: int = 11,
-         sigma: float = 1.5, data_range: float = 1.0) -> float:
-    """Mean local SSIM with a Gaussian window over valid positions."""
+_SSIM_WINDOW = _gaussian_window(11, 1.5)
+_SSIM_WINDOW.flags.writeable = False
+
+
+def ssim(frame_a: np.ndarray, frame_b: np.ndarray) -> float:
+    """Mean local SSIM over valid positions of frames in [0, 1], with an
+    11x11 Gaussian window of sigma 1.5."""
     if frame_a.shape != frame_b.shape:
         raise ValueError(
             f"ssim: frame shapes differ, {frame_a.shape} vs {frame_b.shape}")
     a = frame_a.astype(np.float64)
     b = frame_b.astype(np.float64)
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
-    win = _gaussian_window(window_size, sigma)
+    c1 = 0.01 ** 2
+    c2 = 0.03 ** 2
 
     def smooth(x):
-        return fftconvolve(x, win, mode="valid")
+        return fftconvolve(x, _SSIM_WINDOW, mode="valid")
 
     mu_a = smooth(a)
     mu_b = smooth(b)

@@ -30,7 +30,6 @@ class ModelConfig:
     heatmap_sigma: float = 1.5
     use_cbam: bool = False
     base_channels: int = 32
-    normalize: bool = True  # instance norm; disabled only in linearity tests
     use_tga: bool = True
     input_mode: str = "fused"
     # not a field: the encoder's two stride-2 stages fix the stride at 4
@@ -123,10 +122,9 @@ def cbam(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 
 def _stage(x, params, name, cfg, cbam_prefix=None, stride=2):
-    """3x3 conv, instance norm (if enabled), ReLU, then CBAM at cbam_prefix (if enabled)."""
+    """3x3 conv, instance norm, ReLU, then CBAM at cbam_prefix (if enabled)."""
     h = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=stride, padding=1)
-    if cfg.normalize:
-        h = instance_norm(h)
+    h = instance_norm(h)
     h = h.relu()
     if cbam_prefix and cfg.use_cbam:
         h = cbam(h, params, cbam_prefix)
@@ -254,14 +252,16 @@ def infer_keypoints(frame: np.ndarray, params: dict[str, Tensor], cfg: ModelConf
 
 _CONFIG_RECORD = "__model_config__"
 # v1 checkpoints end after `normalize`, so later slots load as defaults;
-# `feature_stride` is written but not read; `input_mode` is its INPUT_MODES index
+# `feature_stride` is written but not read; `normalize` is written as 1 and
+# must read 1, because every stage runs instance norm; `input_mode` is its
+# INPUT_MODES index
 _CONFIG_FIELDS = ("k", "input_channels", "input_size", "feature_stride",
                   "heatmap_sigma", "use_cbam", "base_channels", "normalize",
                   "use_tga", "input_mode")
 
 
 def save_model(path, params: dict[str, Tensor], cfg: ModelConfig):
-    values = [getattr(cfg, f) for f in _CONFIG_FIELDS]
+    values = [True if f == "normalize" else getattr(cfg, f) for f in _CONFIG_FIELDS]
     header = np.array([INPUT_MODES.index(v) if isinstance(v, str) else float(v)
                        for v in values], dtype=np.float32)
     records = {_CONFIG_RECORD: header}
@@ -282,6 +282,9 @@ def load_model(path) -> tuple[dict[str, Tensor], ModelConfig]:
     types = get_type_hints(ModelConfig)
     kwargs = {}
     for name, v in zip(_CONFIG_FIELDS, vals):
+        if name == "normalize" and v != 1:
+            raise CheckpointError(f"{path}: checkpoint normalize slot {v} is not 1; "
+                                  f"this model ran without instance norm")
         if name not in types:
             continue
         if not np.isfinite(v) or (types[name] is str and v not in range(len(INPUT_MODES))):

@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 
+class DatasetError(ValueError):
+    """Missing or corrupt dataset files."""
+
+
 def write_pgm(path, frame: np.ndarray):
     data = np.clip(np.rint(np.asarray(frame, dtype=np.float64) * 255.0), 0, 255)
     data = data.astype(np.uint8)
@@ -30,15 +34,20 @@ def read_pgm(path) -> np.ndarray:
         while i < len(blob) and not blob[i:i + 1].isspace():
             i += 1
         if start == i:
-            raise ValueError(f"{path}: truncated PGM header")
+            raise DatasetError(f"{path}: truncated PGM header")
         tokens.append(blob[start:i])
     if tokens[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
+        raise DatasetError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise DatasetError(f"{path}: malformed PGM header {b' '.join(tokens)!r}")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if w < 1 or h < 1:
+        raise DatasetError(f"{path}: PGM has no pixels ({w}x{h})")
     if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}, expected 255")
+        raise DatasetError(f"{path}: unsupported maxval {maxval}, expected 255")
     i += 1  # single whitespace byte after maxval
+    if len(blob) - i < w * h:
+        raise DatasetError(f"{path}: truncated pixel data, "
+                           f"{max(len(blob) - i, 0)} of {w * h} bytes")
     pixels = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=i)
-    if pixels.size != w * h:
-        raise ValueError(f"{path}: truncated pixel data")
     return pixels.reshape(h, w).astype(np.float64) / 255.0

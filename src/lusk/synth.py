@@ -14,14 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pgm import read_pgm, write_pgm
+from .pgm import DatasetError, read_pgm, write_pgm
 
 # mean of a unit Rayleigh variate, used to normalize speckle to mean 1
 _RAYLEIGH_MEAN = np.sqrt(np.pi / 2.0)
-
-
-class DatasetError(ValueError):
-    """Missing or corrupt dataset files."""
 
 
 @dataclass
@@ -46,7 +42,6 @@ class SceneSpec:
     b_lines: tuple = (BLineSpec(),)
     speckle_strength: float = 0.3
     seed: int = 0
-    b_line_wrap: bool = False        # default: clamp drift at frame edges
 
     def validate(self):
         if self.frames < 1 or self.size < 8:
@@ -104,10 +99,7 @@ def generate(spec: SceneSpec) -> tuple[np.ndarray, GroundTruth]:
         below = np.arange(size, dtype=np.float64) >= p_row
         for bl in spec.b_lines:
             col = bl.column * (size - 1) + bl.drift * t
-            if spec.b_line_wrap:
-                col = col % size
-            else:
-                col = float(np.clip(col, 0.0, size - 1))
+            col = float(np.clip(col, 0.0, size - 1))  # drift stops at the frame edge
             b_cols.append(col)
             profile = bl.brightness * _band(size, col, bl.width)
             base += below[:, None] * profile[None, :]
@@ -149,6 +141,9 @@ def load_frames(directory) -> np.ndarray:
         if not os.path.exists(path):
             raise DatasetError(f"{directory}: missing frame index {t} ({path})")
         frames.append(read_pgm(path))
+        if frames[-1].shape != frames[0].shape:
+            raise DatasetError(f"{path}: frame is {frames[-1].shape}, "
+                               f"but frame 0 is {frames[0].shape}")
     return np.stack(frames)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -348,16 +347,16 @@ def spatial_softmax(x: Tensor) -> Tensor:
     return _op(p, (x,), backward)
 
 
-def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+def instance_norm(x: Tensor) -> Tensor:
     """Per-sample, per-channel normalization to zero mean and unit variance.
 
-    y = (x - mean) * r with r = 1 / sqrt(var + eps) over axes (2, 3); the
+    y = (x - mean) * r with r = 1 / sqrt(var + 1e-5) over axes (2, 3); the
     backward is dx = r * (g - mean(g) - y * mean(g * y)) over the same axes.
     """
     if x.ndim != 4:
         raise ShapeError("instance_norm", x.shape)
     y = x.data - x.data.mean(axis=(2, 3), keepdims=True)
-    r = 1.0 / np.sqrt(np.square(y).mean(axis=(2, 3), keepdims=True) + eps)
+    r = 1.0 / np.sqrt(np.square(y).mean(axis=(2, 3), keepdims=True) + 1e-5)
     y *= r
 
     def backward(g):
@@ -372,40 +371,32 @@ def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
 # -- Adam optimizer ----------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Per-parameter first/second moment accumulators plus the step count."""
-
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+# moment decay rates and denominator offset, the defaults of Kingma & Ba
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class Adam:
-    """Adam with bias correction over a named parameter dict."""
+    """Adam with bias correction over a named parameter dict; holds the
+    per-parameter first/second moments m and v, and the steps taken."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = params
         self.lr = lr
-        self.state = AdamState(beta1=beta1, beta2=beta2, epsilon=epsilon)
-        for name, p in params.items():
-            self.state.m[name] = np.zeros_like(p.data)
-            self.state.v[name] = np.zeros_like(p.data)
+        self.step_count = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self, lr: float | None = None):
         lr = self.lr if lr is None else lr
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        st = self.state
-        st.step += 1
-        bc1 = 1.0 - st.beta1 ** st.step
-        bc2 = 1.0 - st.beta2 ** st.step
+        self.step_count += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -414,13 +405,13 @@ class Adam:
                 raise ShapeError(f"adam_step[{name}]", g.shape, p.data.shape)
             if not np.all(np.isfinite(g)):
                 raise ValueError(f"non-finite gradient for parameter '{name}'")
-            m = st.m[name]
-            v = st.v[name]
-            m *= st.beta1
-            m += (1.0 - st.beta1) * g
-            v *= st.beta2
-            v += (1.0 - st.beta2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + st.epsilon)
+            m = self.m[name]
+            v = self.v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 # -- checkpoint records ------------------------------------------------------------

@@ -49,11 +49,7 @@ def fuse_composite(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:
         m3 = np.real(np.fft.ifft2(spectrum * (1j * vv / safe)))
         odd = np.hypot(m2, m3)
         lp = minmax_normalize(1.0 - np.arctan(odd / (np.abs(even) + cfg.epsilon)))
-        energy = even ** 2 + m2 ** 2 + m3 ** 2
-        if cfg.energy_denominator_mode == "squared_energy":
-            den = energy + cfg.epsilon
-        else:
-            den = np.sqrt(energy) + cfg.epsilon
+        den = np.sqrt(even ** 2 + m2 ** 2 + m3 ** 2) + cfg.epsilon
         fs = minmax_normalize(np.maximum(even - odd - cfg.thresh, 0.0) / den)
         channels.append(minmax_normalize(lp * fs * weight))
     return np.stack(channels)

@@ -1,3 +1,4 @@
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from lusk import train as training
 from lusk.cli import main, read_keypoints_csv
 from lusk.config import (ConfigError, RunConfig, load_config, parse_config,
                          serialize_config)
-from lusk.pgm import read_pgm
+from lusk.pgm import read_pgm, write_pgm
 from lusk.synth import BLineSpec, DatasetError
 from lusk.tensor import CheckpointError, load_tensors, save_tensors
 from oracles import read_report
@@ -64,7 +65,6 @@ class TestConfig:
                 for line in serialize_config(RunConfig().validate()).splitlines()]
         assert keys == [
             "sigma0", "lambdas", "thresh", "epsilon", "attenuation_a",
-            "energy_denominator_mode",
             "k", "input_size", "heatmap_sigma", "use_cbam", "base_channels",
             "use_tga", "input_mode",
             "epochs", "batch_size", "lr0", "lr_decay", "lr_interval", "ssim_threshold",
@@ -72,7 +72,7 @@ class TestConfig:
             "pair_retry_factor", "pretrain_epochs", "checkpoint_every",
             "frames", "size", "pleura_depth", "amplitude", "frequency",
             "pleura_brightness", "pleura_thickness", "a_line_count", "a_line_decay",
-            "b_lines", "speckle_strength", "b_line_wrap",
+            "b_lines", "speckle_strength",
             "seed", "pair_count"]
 
 
@@ -181,7 +181,9 @@ class TestPipeline:
 
 class TestExitCodes:
     def test_unknown_key_is_config_error(self, tmp_path):
-        assert main(["synth", "--set", "nope=1", "--out", str(tmp_path / "x")]) == 2
+        # phase symmetry and B-line drift each have one rule, not a setting
+        for setting in ("nope=1", "energy_denominator_mode=sqrt_energy", "b_line_wrap=true"):
+            assert main(["synth", "--set", setting, "--out", str(tmp_path / "x")]) == 2
 
     def test_invalid_value_is_config_error(self, tmp_path):
         assert main(["synth", "--set", "pleura_depth=0.9",
@@ -263,6 +265,67 @@ class TestExitCodes:
                      "--data", str(dataset), "--out", str(same)]) == 0
         assert ((plain / "keypoints.csv").read_bytes()
                 == (same / "keypoints.csv").read_bytes())
+
+
+# an --in or --out of the wrong kind: `afile` is an existing regular file and
+# `adir` an existing directory
+WRONG_KIND = {
+    "synth_out_file": lambda data, ckpt, afile, adir: ["synth", *TINY, "--out", afile],
+    "fuse_out_file": lambda data, ckpt, afile, adir: [
+        "fuse", *TINY, "--in", f"{data}/frame_00000.pgm", "--out", afile],
+    "infer_out_file": lambda data, ckpt, afile, adir: [
+        "infer", "--ckpt", ckpt, "--data", data, "--out", afile],
+    "fuse_in_dir": lambda data, ckpt, afile, adir: [
+        "fuse", *TINY, "--in", adir, "--out", f"{adir}/fused"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND))
+def test_path_of_wrong_kind_is_data_error(case, dataset, checkpoint, tmp_path, capsys):
+    afile, adir = tmp_path / "afile", tmp_path / "adir"
+    afile.write_text("")
+    adir.mkdir()
+    argv = WRONG_KIND[case](str(dataset), str(checkpoint), str(afile), str(adir))
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert str(afile if "file" in case else adir) in err
+
+
+def _damaged_copy(dataset, tmp_path, damage):
+    """A copy of the dataset with frame 3 replaced: `truncated` cuts its
+    pixel data short, `resized` writes it at another size."""
+    data = tmp_path / "damaged"
+    shutil.copytree(dataset, data)
+    frame = data / "frame_00003.pgm"
+    if damage == "truncated":
+        frame.write_bytes(frame.read_bytes()[:-5])
+    else:
+        write_pgm(frame, np.zeros((16, 16)))
+    return data, frame
+
+
+class TestBadFrames:
+    """A truncated frame, or frames of two sizes, exit 3 naming the file."""
+
+    @pytest.mark.parametrize("damage", ["truncated", "resized"])
+    def test_data_directory(self, damage, dataset, tmp_path, capsys):
+        data, frame = _damaged_copy(dataset, tmp_path, damage)
+        capsys.readouterr()
+        assert main(["train", *TINY, "--data", str(data),
+                     "--out", str(tmp_path / "m.lusk")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(frame) in err
+
+    def test_fuse_input(self, dataset, tmp_path, capsys):
+        _, frame = _damaged_copy(dataset, tmp_path, "truncated")
+        capsys.readouterr()
+        assert main(["fuse", *TINY, "--in", str(frame), "--out", str(tmp_path / "f")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "truncated pixel data" in err
+        assert str(frame) in err
 
 
 # the first record is the 16-byte name "__model_config__": its rank is at

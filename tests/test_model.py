@@ -6,7 +6,7 @@ from lusk.model import (ModelConfig, cbam, cell_to_pixel, check_config_match,
                         encode, infer_keypoints, init_params, keynet,
                         load_model, render_heatmaps, reconstruct, refine,
                         save_model, transport)
-from lusk.tensor import ShapeError, Tensor, save_tensors
+from lusk.tensor import CheckpointError, ShapeError, Tensor, conv2d, save_tensors
 
 
 def small_cfg(**kw):
@@ -32,7 +32,8 @@ class TestEncode:
         assert encode(rand_stack(cfg), params, cfg).shape == (1, 64, 16, 16)
 
     def test_zero_input_zero_features(self):
-        cfg = small_cfg(normalize=False)
+        # zero biases give a zero map, which instance norm leaves at zero
+        cfg = small_cfg()
         params = init_params(cfg, np.random.default_rng(0))
         x = Tensor(np.zeros((1, 10, 64, 64), dtype=np.float32))
         assert np.abs(encode(x, params, cfg).data).max() == 0.0
@@ -102,13 +103,22 @@ class TestKeynet:
         assert coords.data.max() <= cfg.feature_size - 1
 
     def test_translation_equivariance_of_features(self):
-        # rolling the input by one feature stride rolls features by one cell
-        cfg = small_cfg(normalize=False)
+        # rolling the input by one feature stride rolls the encoder's conv
+        # trunk by one cell; instance norm is left out, because its per-map
+        # statistics see the border rows change
+        cfg = small_cfg()
         params = init_params(cfg, np.random.default_rng(3))
+
+        def trunk(x):
+            for name in ("encoder.conv1", "encoder.conv2"):
+                x = conv2d(x, params[f"{name}.w"], params[f"{name}.b"],
+                           stride=2, padding=1).relu()
+            return x.data
+
         base = np.random.default_rng(4).random((1, 10, 64, 64)).astype(np.float32)
         rolled = np.roll(base, cfg.feature_stride, axis=2)
-        f1 = encode(Tensor(base), params, cfg).data
-        f2 = encode(Tensor(rolled), params, cfg).data
+        f1 = trunk(Tensor(base))
+        f2 = trunk(Tensor(rolled))
         interior = np.roll(f1, 1, axis=2)[:, :, 2:-2, :]
         assert np.abs(f2[:, :, 2:-2, :] - interior).max() < 1e-5
 
@@ -245,6 +255,18 @@ class TestCheckpoint:
         _, cfg = load_model(path)
         assert cfg.use_tga is True and cfg.input_mode == "fused"
         assert cfg == small_cfg()
+
+    @pytest.mark.parametrize("header", [
+        [3, 10, 64, 4, 1.5, 0, 32, 0],
+        [3, 10, 64, 4, 1.5, 0, 32, 0, 1, 0]])
+    def test_model_without_instance_norm_rejected(self, header, tmp_path):
+        # slot 7 held the normalize switch; every stage now runs instance
+        # norm, so a model trained without it would give wrong keypoints
+        params = init_params(small_cfg(), np.random.default_rng(0))
+        path = tmp_path / "no_norm.lusk"
+        save_tensors(path, {"__model_config__": np.array(header, np.float32), **params})
+        with pytest.raises(CheckpointError, match="normalize slot 0.0"):
+            load_model(path)
 
     @pytest.mark.parametrize("slot", [2.0, -1.0, 0.5, float("nan")])
     def test_bad_input_mode_slot_rejected(self, slot, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lusk.pgm import write_pgm
 from lusk.synth import (BLineSpec, DatasetError, GroundTruth, SceneSpec,
                         generate, load_dataset, load_frames, load_truth,
                         save_dataset)
@@ -57,13 +58,6 @@ class TestGenerate:
         assert max(cols) == 63.0
         assert all(c <= 63.0 for c in cols)
 
-    def test_b_line_wrap_mode(self):
-        spec = SceneSpec(frames=60, b_line_wrap=True,
-                         b_lines=(BLineSpec(column=0.9, drift=1.0),))
-        _, truth = generate(spec)
-        cols = [c[0] for c in truth.b_line_cols]
-        assert min(cols) < 10.0  # wrapped around
-
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError, match="pleura_depth"):
             generate(SceneSpec(pleura_depth=0.1))
@@ -95,6 +89,26 @@ class TestDatasetIo:
         save_dataset(video, truth, tmp_path)
         (tmp_path / "frame_00002.pgm").unlink()
         with pytest.raises(DatasetError, match="index 2"):
+            load_frames(tmp_path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"P5\n4 4\n255\n" + bytes(15), "truncated pixel data"),
+        (b"P5\n0 0\n255\n", "PGM has no pixels"),
+        (b"P5\n4 -4\n255\n" + bytes(16), "malformed PGM header"),
+        (b"P5\n4 4\n", "truncated PGM header")],
+        ids=["pixels", "empty", "negative", "header"])
+    def test_bad_frame_names_file(self, blob, message, tmp_path):
+        video, truth = generate(SceneSpec(frames=3, size=16))
+        save_dataset(video, truth, tmp_path)
+        (tmp_path / "frame_00001.pgm").write_bytes(blob)
+        with pytest.raises(DatasetError, match=rf"frame_00001\.pgm: {message}"):
+            load_frames(tmp_path)
+
+    def test_frames_of_two_sizes_name_file(self, tmp_path):
+        video, truth = generate(SceneSpec(frames=3, size=16))
+        save_dataset(video, truth, tmp_path)
+        write_pgm(tmp_path / "frame_00002.pgm", np.zeros((16, 12)))
+        with pytest.raises(DatasetError, match=r"frame_00002\.pgm: frame is \(16, 12\)"):
             load_frames(tmp_path)
 
     def test_empty_directory(self, tmp_path):
