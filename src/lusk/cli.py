@@ -110,11 +110,14 @@ def cmd_infer(args) -> int:
                              [k for k in keys if k in model.ModelConfig.__dataclass_fields__])
     frames = synth.load_frames(args.data)
     os.makedirs(args.out, exist_ok=True)
-    scale = frames.shape[1] / model_cfg.input_size
+    rows, cols = frames.shape[1:]
     with open(os.path.join(args.out, "keypoints.csv"), "w", encoding="utf-8") as f:
         f.write("frame,slot,row,col\n")
         for t, frame in enumerate(frames):
-            coords = model.infer_keypoints(frame, params, model_cfg, cfg.fusion) * scale
+            coords = model.infer_keypoints(frame, params, model_cfg, cfg.fusion)
+            # the model sees an input_size square: map each axis back on its own
+            coords[:, 0] *= rows / model_cfg.input_size
+            coords[:, 1] *= cols / model_cfg.input_size
             for slot, (row, col) in enumerate(coords):
                 f.write(f"{t},{slot},{float(row)!r},{float(col)!r}\n")
             write_pgm(os.path.join(args.out, f"overlay_{t:05d}.pgm"),

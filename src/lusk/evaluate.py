@@ -50,8 +50,8 @@ def _pleura_distances(keypoints, pleura_rows):
 
 def pleura_accuracy(keypoints, pleura_rows, delta: float) -> tuple[int, int, float]:
     """Returns (correct, total, accuracy). keypoints: (T, k, 2) as (row, col)."""
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     if len(keypoints) != len(pleura_rows):
         raise ValueError(
             f"{len(keypoints)} keypoint sets vs {len(pleura_rows)} truth records")

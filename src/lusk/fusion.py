@@ -155,19 +155,18 @@ def monogenic(frame: np.ndarray, lambda0: float, sigma0: float) -> MonogenicTrip
     return MonogenicTriple(m1=m1, m2=pair.real, m3=pair.imag)
 
 
-def local_phase_raw(m: MonogenicTriple, epsilon: float = 1e-6) -> np.ndarray:
+def local_phase_raw(m: MonogenicTriple, epsilon: float) -> np.ndarray:
     """1 - atan(odd / (even + eps)): maximal (= 1) at even, line-like
     structure, falling toward 1 - pi/2 where odd energy dominates."""
     return 1.0 - np.arctan(m.odd / (np.abs(m.m1) + epsilon))
 
 
-def local_phase(m: MonogenicTriple, epsilon: float = 1e-6) -> np.ndarray:
+def local_phase(m: MonogenicTriple, epsilon: float) -> np.ndarray:
     """Local phase map, min-max normalized to [0, 1] per frame."""
     return minmax_normalize(local_phase_raw(m, epsilon))
 
 
-def phase_symmetry(m: MonogenicTriple, thresh: float = 0.01,
-                   epsilon: float = 1e-6) -> np.ndarray:
+def phase_symmetry(m: MonogenicTriple, thresh: float, epsilon: float) -> np.ndarray:
     """Even-symmetry detector: floor(even - odd - thresh, 0) over the local
     amplitude sqrt(even^2 + odd^2) + eps, min-max normalized to [0, 1].
 
@@ -195,7 +194,7 @@ def fuse(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:
     return out
 
 
-def norm_stack(frame: np.ndarray, n_channels: int = 10) -> np.ndarray:
+def norm_stack(frame: np.ndarray, n_channels: int) -> np.ndarray:
     """Ablation alternative: (frame - mu_i) / 0.5 with mu_i linear in
     [0.3, 0.7] across channels."""
     mus = np.linspace(0.3, 0.7, n_channels)

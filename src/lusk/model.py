@@ -48,10 +48,6 @@ class ModelConfig:
         return self
 
     @property
-    def feature_size(self) -> int:
-        return self.input_size // self.feature_stride
-
-    @property
     def feature_channels(self) -> int:
         return 2 * self.base_channels
 
@@ -140,8 +136,7 @@ def encode(stack: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
     return _stage(h, params, "encoder.conv2", cfg, "encoder.cbam2")
 
 
-def render_heatmaps(rows: Tensor, cols: Tensor, h: int, w: int, sigma: float,
-                    dtype=np.float32):
+def render_heatmaps(rows: Tensor, cols: Tensor, h: int, w: int, sigma: float, dtype):
     """Gaussian heatmaps from (N, k) cell-unit coordinates; peak value 1.
 
     Returns (heatmaps (N,k,h,w), combined (N,1,h,w)); differentiable in
@@ -270,8 +265,8 @@ def save_model(path, params: dict[str, Tensor], cfg: ModelConfig):
 
 
 def load_model(path) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Parameters and config of a checkpoint; a malformed config record
-    raises CheckpointError."""
+    """Parameters (requiring no gradient) and config of a checkpoint; a
+    malformed config record raises CheckpointError."""
     records = load_tensors(path)
     if _CONFIG_RECORD not in records:
         raise CheckpointError(f"{path}: missing model config record")
@@ -294,7 +289,7 @@ def load_model(path) -> tuple[dict[str, Tensor], ModelConfig]:
         cfg = ModelConfig(**kwargs).validate()
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    params = {name: Tensor(arr, requires_grad=True) for name, arr in records.items()}
+    params = {name: Tensor(arr) for name, arr in records.items()}
     return params, cfg
 
 

@@ -163,15 +163,3 @@ def load_truth(path) -> GroundTruth:
             except (ValueError, IndexError) as exc:
                 raise DatasetError(f"{path}:{lineno}: malformed truth line") from exc
     return truth
-
-
-def load_dataset(directory) -> tuple[np.ndarray, GroundTruth]:
-    frames = load_frames(directory)
-    truth_path = os.path.join(directory, "truth.txt")
-    if not os.path.exists(truth_path):
-        raise DatasetError(f"missing truth file {truth_path}")
-    truth = load_truth(truth_path)
-    if len(truth) != len(frames):
-        raise DatasetError(
-            f"{directory}: {len(frames)} frames but {len(truth)} truth records")
-    return frames, truth

@@ -39,10 +39,10 @@ def _as_array(data):
 
 
 def _op(data, parents, backward) -> "Tensor":
-    """The output of an op: linked to its parents and backward closure only
-    when some parent needs a gradient or carries a graph itself."""
-    if any(p.requires_grad or p._parents for p in parents):
-        return Tensor(data, parents=parents, backward=backward)
+    """The output of an op: linked to its parents and backward closure, and
+    itself requiring a gradient, only when some parent requires one."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, parents=parents, backward=backward)
     return Tensor(data)
 
 
@@ -57,7 +57,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """A dense array plus an optional gradient and autodiff linkage.
+    """A dense array plus an optional gradient and autodiff linkage;
+    requires_grad is true for every tensor a gradient reaches.
 
     Tensors are treated as immutable once built; only the optimizer
     mutates parameter data in place between steps.
@@ -93,9 +94,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # -- graph construction helpers -------------------------------------------
 
     @staticmethod
@@ -105,7 +103,7 @@ class Tensor:
         return Tensor(np.asarray(value, dtype=like.dtype))
 
     def _accumulate(self, g: np.ndarray):
-        if self.requires_grad or self._parents:
+        if self.requires_grad:
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
             self.grad += g
@@ -311,7 +309,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         go = go.reshape(o, -1)[:, :m]
         gw = np.stack([go @ ph[tap][:, :m].T for tap in taps])
         w._accumulate(gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             gph = np.zeros(ph.shape, np.result_type(go, wt))
             for wij, tap in zip(wt, taps):
                 gph[tap][:, :m] += wij.T @ go

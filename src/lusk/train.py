@@ -62,7 +62,6 @@ class TrainResult:
     params: dict
     losses: list          # mean loss per epoch
     lrs: list             # lr per epoch
-    trace: list           # pipeline stages active for this run
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -72,23 +71,8 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.lr_decay ** (epoch // cfg.lr_interval)
 
 
-def pipeline_trace(cfg: TrainConfig, model_cfg: model.ModelConfig) -> list[str]:
-    """Ordered list of pipeline stages enabled by the config switches."""
-    stages = ["resize"]
-    if model_cfg.use_tga:
-        stages.append("tga")
-    stages.append("fuse" if model_cfg.input_mode == "fused" else "norm_stack")
-    if cfg.use_ssim_gate:
-        stages.append("ssim_gate")
-    stages.append("encode")
-    if model_cfg.use_cbam:
-        stages.append("cbam")
-    stages += ["keynet", "transport", "refine"]
-    return stages
-
-
 def sample_pairs(videos, cfg: TrainConfig, count: int,
-                 rng: np.random.Generator | None = None) -> list[PairSample]:
+                 rng: np.random.Generator) -> list[PairSample]:
     """Uniformly sample same-video frame pairs with |i-j| <= max_pair_gap.
 
     With the SSIM gate on, pairs below the threshold are rejected and
@@ -96,8 +80,6 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
     SSIM is symmetric, so each unordered frame pair is scored once.
     """
     cfg.validate()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     for v, frames in enumerate(videos):
         if len(frames) < 2:
             raise DatasetError(f"video {v} has fewer than 2 frames")
@@ -230,8 +212,7 @@ def train(videos, model_cfg: model.ModelConfig, fusion_cfg: fusion.FusionConfig,
             model.save_model(checkpoint_path, params, model_cfg)
     if checkpoint_path:
         model.save_model(checkpoint_path, params, model_cfg)
-    return TrainResult(params=params, losses=losses, lrs=lrs,
-                       trace=pipeline_trace(cfg, model_cfg))
+    return TrainResult(params=params, losses=losses, lrs=lrs)
 
 
 def write_loss_csv(path, losses, lrs):

@@ -122,7 +122,7 @@ class TestFuse:
         prepared = fusion.prepare_frame(read_pgm(dataset / "frame_00000.pgm"), 32,
                                         fusion.FusionConfig().attenuation_a)
         stack = load_tensors(out / "stack.lusk")
-        assert np.array_equal(stack["channel_00"], fusion.norm_stack(prepared)[0])
+        assert np.array_equal(stack["channel_00"], fusion.norm_stack(prepared, 10)[0])
 
 
 class TestPipeline:
@@ -158,6 +158,21 @@ class TestPipeline:
         assert 0.0 <= report.pleura_accuracy <= 1.0
         assert (tmp_path / "report_frames.csv").exists()
 
+    def test_infer_maps_keypoints_back_per_axis(self, dataset, checkpoint, tmp_path):
+        # each column of the square frames repeated 4x: the model sees the
+        # same input, so rows match and columns are 4x the square run's
+        wide = tmp_path / "wide"
+        wide.mkdir()
+        for t, frame in enumerate(synth.load_frames(dataset)):
+            write_pgm(wide / f"frame_{t:05d}.pgm", np.repeat(frame, 4, axis=1))
+        for data, out in ((dataset, "square"), (wide, "wide")):
+            assert main(["infer", "--ckpt", str(checkpoint), "--data", str(data),
+                         "--out", str(tmp_path / out)]) == 0
+        square = read_keypoints_csv(tmp_path / "square" / "keypoints.csv")
+        widened = read_keypoints_csv(tmp_path / "wide" / "keypoints.csv")
+        assert np.array_equal(widened[..., 0], square[..., 0])
+        assert np.array_equal(widened[..., 1], 4.0 * square[..., 1])
+
     def test_infer_preprocesses_as_trained(self, dataset, tmp_path, capsys):
         # the checkpoint records the input pipeline, so infer needs no --config
         switches = ["--set", "input_mode=norm_stack", "--set", "use_tga=false"]
@@ -184,6 +199,17 @@ class TestExitCodes:
         # phase symmetry and B-line drift each have one rule, not a setting
         for setting in ("nope=1", "energy_denominator_mode=sqrt_energy", "b_line_wrap=true"):
             assert main(["synth", "--set", setting, "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_is_config_error(self, delta, dataset, tmp_path, capsys):
+        pred = _write_pred(tmp_path / "pred", GOOD_CSV)
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(pred), "--truth", str(dataset),
+                     "--delta", delta, "--out", str(tmp_path / "report.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "delta" in err
+        assert not (tmp_path / "report.txt").exists()
 
     def test_invalid_value_is_config_error(self, tmp_path):
         assert main(["synth", "--set", "pleura_depth=0.9",

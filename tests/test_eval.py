@@ -50,8 +50,9 @@ class TestPleuraAccuracy:
             pleura_accuracy(kp([(0.0, 0.0)]), [1.0, 2.0], 5.0)
 
     def test_bad_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            pleura_accuracy(kp([(0.0, 0.0)]), [1.0], 0.0)
+        for delta in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delta"):
+                pleura_accuracy(kp([(0.0, 0.0)]), [1.0], delta)
 
     def test_delta_monotonicity(self):
         pts = kp([(13.0, 0.0)], [(18.0, 0.0)], [(30.0, 0.0)])

@@ -118,15 +118,15 @@ class TestLocalPhase:
     def test_even_dominant_is_maximal(self):
         # odd energy zero -> raw LP equals the top of its range
         m = MonogenicTriple(m1=np.ones((4, 4)), m2=np.zeros((4, 4)), m3=np.zeros((4, 4)))
-        raw = local_phase_raw(m)
+        raw = local_phase_raw(m, 1e-6)
         assert np.allclose(raw, 1.0, atol=1e-6)
         # constant raw map normalizes to zero by convention
-        assert np.array_equal(local_phase(m), np.zeros((4, 4)))
+        assert np.array_equal(local_phase(m, 1e-6), np.zeros((4, 4)))
 
     def test_raw_range_containment(self):
         rng = np.random.default_rng(3)
         m = MonogenicTriple(*(rng.standard_normal((8, 8)) for _ in range(3)))
-        raw = local_phase_raw(m)
+        raw = local_phase_raw(m, 1e-6)
         assert raw.min() > 1 - np.pi / 2
         assert raw.max() <= 1 + np.pi / 2
 
@@ -134,17 +134,17 @@ class TestLocalPhase:
 class TestPhaseSymmetry:
     def test_constant_frame_is_zero(self):
         m = monogenic(np.full((16, 16), 0.5), 6.0, 0.55)
-        assert np.array_equal(phase_symmetry(m, thresh=0.01), np.zeros((16, 16)))
+        assert np.array_equal(phase_symmetry(m, 0.01, 1e-6), np.zeros((16, 16)))
 
     def test_bright_line_localization(self):
         f = line_frame(background=0.0)
         m = monogenic(f, 8.0, 0.55)
-        fs = phase_symmetry(m)
+        fs = phase_symmetry(m, 0.01, 1e-6)
         assert abs(int(np.argmax(fs.mean(axis=1))) - 10) <= 1
 
     def test_output_in_unit_range(self):
         m = monogenic(np.random.default_rng(5).random((16, 16)), 6.0, 0.55)
-        fs = phase_symmetry(m)
+        fs = phase_symmetry(m, 0.01, 1e-6)
         assert fs.min() >= 0.0 and fs.max() <= 1.0
 
 
@@ -193,8 +193,6 @@ class TestFuse:
             fuse(np.zeros((8, 8)), FusionConfig(sigma0=1.2))
 
     def test_each_channel_is_the_documented_formula(self):
-        # fuse runs LP * FS * (1 - IBS) with the defaults phase_symmetry and
-        # local_phase state, so their own tests cover what the pipeline runs
         video, _ = generate(SceneSpec(frames=2, size=64, seed=3))
         cfg = FusionConfig()
         for frame in video:
@@ -202,7 +200,8 @@ class TestFuse:
             stack = fuse(prepared, cfg)
             for channel, lam in zip(stack, cfg.lambdas):
                 m = monogenic(prepared, lam, cfg.sigma0)
-                want = minmax_normalize(local_phase(m) * phase_symmetry(m)
+                want = minmax_normalize(local_phase(m, cfg.epsilon)
+                                        * phase_symmetry(m, cfg.thresh, cfg.epsilon)
                                         * (1.0 - ibs(prepared)))
                 assert np.array_equal(channel, want.astype(np.float32))
 
@@ -266,14 +265,14 @@ class TestFuseMemory:
 class TestNormStack:
     def test_endpoint_means(self):
         frame = np.zeros((8, 8))
-        stack = norm_stack(frame)
+        stack = norm_stack(frame, 10)
         assert np.allclose(stack[0], (0.0 - 0.3) / 0.5)
         assert np.allclose(stack[9], (0.0 - 0.7) / 0.5)
 
     def test_matching_mean_channel_is_zero(self):
         mus = np.linspace(0.3, 0.7, 10)
         frame = np.full((8, 8), mus[4])
-        stack = norm_stack(frame)
+        stack = norm_stack(frame, 10)
         assert np.abs(stack[4]).max() < 1e-6
 
     def test_middle_channel_mean(self):

@@ -49,20 +49,20 @@ class TestHeatmaps:
     def test_peak_value_one(self):
         rows = Tensor(np.array([[4.0]]))
         cols = Tensor(np.array([[7.0]]))
-        heat, _ = render_heatmaps(rows, cols, 16, 16, 1.5)
+        heat, _ = render_heatmaps(rows, cols, 16, 16, 1.5, np.float32)
         assert abs(heat.data[0, 0, 4, 7] - 1.0) < 1e-6
 
     def test_value_at_one_sigma(self):
         sigma = 2.0
         rows = Tensor(np.array([[8.0]]))
         cols = Tensor(np.array([[8.0]]))
-        heat, _ = render_heatmaps(rows, cols, 16, 16, sigma)
+        heat, _ = render_heatmaps(rows, cols, 16, 16, sigma, np.float32)
         assert abs(heat.data[0, 0, 8 + 2, 8] - np.exp(-0.5)) < 1e-6
 
     def test_combined_in_unit_range(self):
         rows = Tensor(np.array([[3.0, 3.2, 3.4]]))
         cols = Tensor(np.array([[5.0, 5.1, 5.2]]))
-        _, comb = render_heatmaps(rows, cols, 12, 12, 1.5)
+        _, comb = render_heatmaps(rows, cols, 12, 12, 1.5, np.float32)
         assert comb.data.min() >= 0.0 and comb.data.max() <= 1.0
 
     def test_combined_permutation_invariant(self):
@@ -70,14 +70,15 @@ class TestHeatmaps:
         r = rng.random((1, 4)) * 10
         c = rng.random((1, 4)) * 10
         perm = [2, 0, 3, 1]
-        _, a = render_heatmaps(Tensor(r), Tensor(c), 12, 12, 1.5)
-        _, b = render_heatmaps(Tensor(r[:, perm]), Tensor(c[:, perm]), 12, 12, 1.5)
+        _, a = render_heatmaps(Tensor(r), Tensor(c), 12, 12, 1.5, np.float32)
+        _, b = render_heatmaps(Tensor(r[:, perm]), Tensor(c[:, perm]), 12, 12, 1.5,
+                               np.float32)
         assert np.abs(a.data - b.data).max() < 1e-6
 
     def test_coordinate_gradient_flows(self):
         rows = Tensor(np.array([[4.0]]), requires_grad=True)
         cols = Tensor(np.array([[4.0]]), requires_grad=True)
-        heat, _ = render_heatmaps(rows, cols, 9, 9, 1.5, dtype=np.float64)
+        heat, _ = render_heatmaps(rows, cols, 9, 9, 1.5, np.float64)
         (heat * Tensor(np.linspace(0, 1, 81).reshape(1, 1, 9, 9))).sum().backward()
         assert rows.grad is not None and np.isfinite(rows.grad).all()
         assert abs(rows.grad[0, 0]) > 0
@@ -90,7 +91,7 @@ class TestKeynet:
         params["keynet.head.w"].data[:] = 0.0
         params["keynet.head.b"].data[:] = 0.0
         coords, heat, comb = keynet(rand_stack(cfg), params, cfg)
-        center = (cfg.feature_size - 1) / 2.0
+        center = (cfg.input_size // cfg.feature_stride - 1) / 2.0
         assert np.abs(coords.data - center).max() < 1e-3
         assert heat.shape == (1, cfg.k, 16, 16)
         assert comb.shape == (1, 1, 16, 16)
@@ -100,7 +101,7 @@ class TestKeynet:
         params = init_params(cfg, np.random.default_rng(1))
         coords, _, _ = keynet(rand_stack(cfg, seed=2), params, cfg)
         assert coords.data.min() >= 0.0
-        assert coords.data.max() <= cfg.feature_size - 1
+        assert coords.data.max() <= cfg.input_size // cfg.feature_stride - 1
 
     def test_translation_equivariance_of_features(self):
         # rolling the input by one feature stride rolls the encoder's conv
@@ -240,6 +241,7 @@ class TestCheckpoint:
         assert set(loaded_params) == set(params)
         for name in params:
             assert np.array_equal(loaded_params[name].data, params[name].data)
+            assert not loaded_params[name].requires_grad
 
     def test_config_mismatch_names_both_values(self):
         with pytest.raises(ValueError, match="k=3.*k=5"):
