@@ -75,11 +75,11 @@ def cmd_pretrain(args) -> int:
 def cmd_train(args) -> int:
     cfg = _run_config(args)
     _check_checkpoint_path(args.out)
-    frames = synth.load_frames(args.data)
     init = None
     if args.init:
         init, init_cfg = model.load_model(args.init)
         model.check_config_match(init_cfg, cfg.model)
+    frames = synth.load_frames(args.data)
     result = training.train([frames], cfg.model, cfg.fusion, cfg.train,
                             cfg.pair_count, init=init, checkpoint_path=args.out)
     training.write_loss_csv(os.path.splitext(args.out)[0] + "_loss.csv",
@@ -102,12 +102,10 @@ def cmd_infer(args) -> int:
     cfg = _run_config(args)
     params, model_cfg = model.load_model(args.ckpt)
     model.check_keynet_params(params, model_cfg, args.ckpt)
-    if args.config:
-        model.check_config_match(model_cfg, cfg.model)
-    # the checkpoint fixes the model: a model key given by --set must agree with it
-    keys = [item.partition("=")[0].strip() for item in args.set or ()]
-    model.check_config_match(model_cfg, cfg.model,
-                             [k for k in keys if k in model.ModelConfig.__dataclass_fields__])
+    # the checkpoint fixes the model: --config, and any model key --set gives, must agree
+    keys = {item.partition("=")[0].strip() for item in args.set or ()}
+    model.check_config_match(model_cfg, cfg.model, [
+        f for f in model.ModelConfig.__dataclass_fields__ if args.config or f in keys])
     frames = synth.load_frames(args.data)
     os.makedirs(args.out, exist_ok=True)
     rows, cols = frames.shape[1:]
@@ -127,7 +125,7 @@ def cmd_infer(args) -> int:
 
 
 def read_keypoints_csv(path) -> np.ndarray:
-    """(frames, k, 2) keypoints; every frame must list slots 0..k-1 once each."""
+    """(frames, k, 2) keypoints; frames 0..T-1 each list slots 0..k-1 once."""
     rows: dict[int, list] = {}
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip()
@@ -143,9 +141,11 @@ def read_keypoints_csv(path) -> np.ndarray:
             rows.setdefault(t, []).append((slot, rc))
     if not rows:
         raise DatasetError(f"{path}: no keypoints")
-    frames = sorted(rows)
-    k = len(rows[frames[0]])
+    frames = range(len(rows))
+    k = len(rows[min(rows)])
     for t in frames:
+        if t not in rows:
+            raise DatasetError(f"{path}: frame {t} is missing, expected 0..{len(rows) - 1}")
         slots = sorted(slot for slot, _ in rows[t])
         if slots != list(range(k)):
             raise DatasetError(f"{path}: frame {t} has slots {slots}, expected 0..{k - 1}")

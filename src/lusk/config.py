@@ -97,10 +97,7 @@ _FIELD_CODECS = {"lambdas": (_parse_lambdas, _format_lambdas),
                  "b_lines": (_parse_b_lines, _format_b_lines)}
 
 # Section fields the program sets itself, never read from a config:
-_INTERNAL = {
-    "seed",            # copied from the top-level seed by RunConfig.validate
-    "input_channels",  # fixed by the 10-channel feature stack
-}
+_INTERNAL = {"seed"}  # copied from the top-level seed by RunConfig.validate
 
 
 def _build_keys():

@@ -1,7 +1,7 @@
 """Transporter keypoint network.
 
 Feature encoder (with optional CBAM attention), keypoint regressor with
-spatial soft-argmax and Gaussian heatmap rendering, feature transport
+spatial soft-argmax, Gaussian heatmap rendering, feature transport
 between frame pairs, and a refinement decoder that reconstructs the
 10-channel feature stack at input resolution.
 """
@@ -25,14 +25,15 @@ INPUT_MODES = ("fused", "norm_stack")
 @dataclass
 class ModelConfig:
     k: int = 10
-    input_channels: int = 10
     input_size: int = 256
     heatmap_sigma: float = 1.5
     use_cbam: bool = False
     base_channels: int = 32
     use_tga: bool = True
     input_mode: str = "fused"
-    # not a field: the encoder's two stride-2 stages fix the stride at 4
+    # not fields: the feature stack has 10 channels, and the encoder's two
+    # stride-2 stages fix the stride at 4
+    input_channels = 10
     feature_stride = 4
 
     def validate(self):
@@ -136,29 +137,23 @@ def encode(stack: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
     return _stage(h, params, "encoder.conv2", cfg, "encoder.cbam2")
 
 
-def render_heatmaps(rows: Tensor, cols: Tensor, h: int, w: int, sigma: float, dtype):
-    """Gaussian heatmaps from (N, k) cell-unit coordinates; peak value 1.
-
-    Returns (heatmaps (N,k,h,w), combined (N,1,h,w)); differentiable in
-    the coordinates. The combined map is the clamped sum over slots, so
-    it is invariant to keypoint ordering.
-    """
+def render_heatmaps(rows: Tensor, cols: Tensor, size: int, sigma: float) -> Tensor:
+    """The (N, 1, size, size) map transport reads: peak-1 Gaussians at (N, k)
+    cell coordinates, summed over slots (so slot order is irrelevant) and
+    clamped to [0, 1]; differentiable in the coordinates."""
     n, k = rows.shape
-    grid_r = Tensor(np.arange(h, dtype=dtype).reshape(1, 1, h, 1))
-    grid_c = Tensor(np.arange(w, dtype=dtype).reshape(1, 1, 1, w))
-    dr = grid_r - rows.reshape(n, k, 1, 1)
-    dc = grid_c - cols.reshape(n, k, 1, 1)
+    grid = np.arange(size, dtype=rows.dtype)
+    dr = Tensor(grid.reshape(1, 1, size, 1)) - rows.reshape(n, k, 1, 1)
+    dc = Tensor(grid.reshape(1, 1, 1, size)) - cols.reshape(n, k, 1, 1)
     sq = dr * dr + dc * dc
     heat = (sq * (-1.0 / (2.0 * sigma * sigma))).exp()
-    combined = heat.sum(axis=1, keepdims=True).clamp(0.0, 1.0)
-    return heat, combined
+    return heat.sum(axis=1, keepdims=True).clamp(0.0, 1.0)
 
 
 def keynet(stack: Tensor, params: dict[str, Tensor], cfg: ModelConfig):
-    """Keypoint regression: stride-4 trunk, k logit maps, spatial soft-argmax,
-    then Gaussian heatmap rendering on the feature grid.
+    """Keypoint regression: stride-4 trunk, k logit maps, spatial soft-argmax.
 
-    Returns (coords (N,k,2) in cell units, heatmaps, combined).
+    Returns (rows, cols), each (N, k) in feature-grid cells.
     """
     if stack.ndim != 4 or stack.shape[1] != cfg.input_channels:
         raise ShapeError("keynet", stack.shape,
@@ -166,16 +161,11 @@ def keynet(stack: Tensor, params: dict[str, Tensor], cfg: ModelConfig):
     h = _stage(stack, params, "keynet.conv1", cfg)
     h = _stage(h, params, "keynet.conv2", cfg)
     logits = conv2d(h, params["keynet.head.w"], params["keynet.head.b"])
-    n, k, gh, gw = logits.shape
     prob = spatial_softmax(logits)
-    dtype = stack.dtype
-    grid_r = Tensor(np.arange(gh, dtype=dtype).reshape(1, 1, gh, 1))
-    grid_c = Tensor(np.arange(gw, dtype=dtype).reshape(1, 1, 1, gw))
-    rows = (prob * grid_r).sum(axis=(2, 3))
-    cols = (prob * grid_c).sum(axis=(2, 3))
-    heat, combined = render_heatmaps(rows, cols, gh, gw, cfg.heatmap_sigma, dtype)
-    coords = concat([rows.reshape(n, k, 1), cols.reshape(n, k, 1)], axis=2)
-    return coords, heat, combined
+    grid = np.arange(logits.shape[2], dtype=stack.dtype)
+    rows = (prob * Tensor(grid.reshape(1, 1, -1, 1))).sum(axis=(2, 3))
+    cols = (prob * Tensor(grid.reshape(1, 1, 1, -1))).sum(axis=(2, 3))
+    return rows, cols
 
 
 def transport(phi_s: Tensor, phi_t: Tensor, h_s: Tensor, h_t: Tensor) -> Tensor:
@@ -214,9 +204,11 @@ def reconstruct(stack_s: Tensor, stack_t: Tensor, params: dict[str, Tensor],
     transport source features into target keypoint regions, refine."""
     phi_s = encode(stack_s, params, cfg)
     phi_t = encode(stack_t, params, cfg)
-    _, _, comb_s = keynet(stack_s, params, cfg)
-    _, _, comb_t = keynet(stack_t, params, cfg)
-    return refine(transport(phi_s, phi_t, comb_s, comb_t), params, cfg)
+    rows_s, cols_s = keynet(stack_s, params, cfg)
+    rows_t, cols_t = keynet(stack_t, params, cfg)
+    h_s = render_heatmaps(rows_s, cols_s, phi_t.shape[2], cfg.heatmap_sigma)
+    h_t = render_heatmaps(rows_t, cols_t, phi_t.shape[2], cfg.heatmap_sigma)
+    return refine(transport(phi_s, phi_t, h_s, h_t), params, cfg)
 
 
 def cell_to_pixel(cell: np.ndarray, stride: int) -> np.ndarray:
@@ -239,24 +231,26 @@ def infer_keypoints(frame: np.ndarray, params: dict[str, Tensor], cfg: ModelConf
     """Keypoints for one frame in image pixel coordinates, shape (k, 2)."""
     stack = preprocess_frame(frame, cfg, fusion_cfg)
     x = Tensor(stack[None].astype(np.float32))
-    coords, _, _ = keynet(x, params, cfg)
-    return cell_to_pixel(coords.data[0], cfg.feature_stride)
+    rows, cols = keynet(x, params, cfg)
+    return cell_to_pixel(np.stack([rows.data[0], cols.data[0]], axis=1), cfg.feature_stride)
 
 
 # -- checkpoints ------------------------------------------------------------
 
 _CONFIG_RECORD = "__model_config__"
 # v1 checkpoints end after `normalize`, so later slots load as defaults;
-# `feature_stride` is written but not read; `normalize` is written as 1 and
-# must read 1, because every stage runs instance norm; `input_mode` is its
-# INPUT_MODES index
+# `input_mode` is its INPUT_MODES index
 _CONFIG_FIELDS = ("k", "input_channels", "input_size", "feature_stride",
                   "heatmap_sigma", "use_cbam", "base_channels", "normalize",
                   "use_tga", "input_mode")
+# slots that are no field hold the one value this model takes (every stage runs instance norm)
+_FIXED_SLOTS = {"input_channels": ModelConfig.input_channels,
+                "feature_stride": ModelConfig.feature_stride, "normalize": 1}
 
 
 def save_model(path, params: dict[str, Tensor], cfg: ModelConfig):
-    values = [True if f == "normalize" else getattr(cfg, f) for f in _CONFIG_FIELDS]
+    values = [_FIXED_SLOTS[f] if f in _FIXED_SLOTS else getattr(cfg, f)
+              for f in _CONFIG_FIELDS]
     header = np.array([INPUT_MODES.index(v) if isinstance(v, str) else float(v)
                        for v in values], dtype=np.float32)
     records = {_CONFIG_RECORD: header}
@@ -277,10 +271,10 @@ def load_model(path) -> tuple[dict[str, Tensor], ModelConfig]:
     types = get_type_hints(ModelConfig)
     kwargs = {}
     for name, v in zip(_CONFIG_FIELDS, vals):
-        if name == "normalize" and v != 1:
-            raise CheckpointError(f"{path}: checkpoint normalize slot {v} is not 1; "
-                                  f"this model ran without instance norm")
-        if name not in types:
+        if name in _FIXED_SLOTS:
+            if v != _FIXED_SLOTS[name]:
+                raise CheckpointError(f"{path}: checkpoint {name} slot {v} is not "
+                                      f"{_FIXED_SLOTS[name]}, the only value this model takes")
             continue
         if not np.isfinite(v) or (types[name] is str and v not in range(len(INPUT_MODES))):
             raise CheckpointError(f"{path}: checkpoint {name} slot {v} is out of range")
@@ -302,8 +296,9 @@ def check_keynet_params(params: dict[str, Tensor], cfg: ModelConfig, path):
 
 
 def check_config_match(loaded: ModelConfig, expected: ModelConfig,
-                       fields=("k", "input_channels", "input_size", "use_tga", "input_mode")):
-    """Reject checkpoint/config mismatches in `fields`, naming both values."""
+                       fields=tuple(ModelConfig.__dataclass_fields__)):
+    """Reject checkpoint/config mismatches in `fields` (by default every
+    ModelConfig field), naming both values."""
     for f in fields:
         a, b = getattr(loaded, f), getattr(expected, f)
         if a != b:

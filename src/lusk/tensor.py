@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_MAGIC = b"LUSK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # v2 adds the record count; v1 files still load
 
 
 class CheckpointError(ValueError):
@@ -416,8 +416,8 @@ class Adam:
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]):
-    """Write named arrays as LUSK records: magic, version, then per record
-    name length/bytes, rank and dims as u64, float32 little-endian values.
+    """Write named arrays as LUSK records: magic, version, record count, then
+    per record name length/bytes, rank and dims as u64, float32 LE values.
 
     The records go to a temporary file beside `path` that then replaces it,
     so a write that fails part-way leaves the previous file as it was. An
@@ -428,7 +428,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
     try:
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
             for name, arr in tensors.items():
                 data = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
                 nb = name.encode("utf-8")
@@ -450,7 +450,8 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
 
 def load_tensors(path) -> dict[str, np.ndarray]:
     """Read LUSK records; every length is checked against the file size, and
-    an unreadable, truncated or malformed file raises CheckpointError."""
+    an unreadable, truncated or malformed file raises CheckpointError. v1
+    files have no record count: their records run to the end of the file."""
     try:
         with open(path, "rb") as f:
             blob = memoryview(f.read())
@@ -471,15 +472,18 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         raise CheckpointError(
             f"{path}: bad magic {bytes(magic)!r}, expected {CHECKPOINT_MAGIC!r}")
     (version,) = struct.unpack("<I", take(4, "the version"))
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    count = struct.unpack("<I", take(4, "the record count"))[0] if version > 1 else None
     out: dict[str, np.ndarray] = {}
-    while off < len(blob):
+    while len(out) < count if count is not None else off < len(blob):
         (nlen,) = struct.unpack("<I", take(4, "a record name length"))
         try:
             name = str(take(nlen, "a record name"), "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: record name before byte {off} is not UTF-8") from None
+        if name in out:
+            raise CheckpointError(f"{path}: record {name} appears twice")
         (rank,) = struct.unpack("<Q", take(8, f"the rank of {name}"))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"the dims of {name}"))
         values = take(4 * math.prod(dims), f"the values of {name}")
@@ -487,4 +491,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             out[name] = np.frombuffer(values, dtype="<f4").reshape(dims).astype(np.float32)
         except ValueError as exc:  # more than 64 dims, or one past numpy's limit
             raise CheckpointError(f"{path}: record {name}: {exc}") from None
+    if off < len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - off} bytes after the last of "
+                              f"{count} records")
     return out

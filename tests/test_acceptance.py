@@ -13,7 +13,8 @@ import pytest
 from lusk import fusion, model, train as training
 from lusk.evaluate import DEFAULT_DELTA, pleura_accuracy
 from lusk.fusion import FusionConfig
-from lusk.model import ModelConfig, encode, init_params, keynet, refine, transport
+from lusk.model import (ModelConfig, encode, init_params, keynet, refine, render_heatmaps,
+                        transport)
 from lusk.synth import SceneSpec, generate
 from lusk.tensor import (Tensor, concat, conv2d, instance_norm, mse, spatial_softmax,
                          upsample_nearest2x)
@@ -64,14 +65,14 @@ def _composed_gradcheck():
     # precomputed constants; finite differences then agree with backprop
     params64 = {n: Tensor(params[n].data.astype(np.float64)) for n in names}
     phi_s = encode(Tensor(rng.random((1, 10, 16, 16))), params64, cfg).data
-    _, _, comb_s = keynet(Tensor(rng.random((1, 10, 16, 16))), params64, cfg)
-    comb_s = comb_s.data
+    comb_s = render_heatmaps(*keynet(Tensor(rng.random((1, 10, 16, 16))), params64, cfg),
+                             4, cfg.heatmap_sigma).data
 
     def fn(*tensors):
         p = dict(zip(names, tensors))
         tgt = Tensor(stack_t)
         phi_t = encode(tgt, p, cfg)
-        _, _, comb_t = keynet(tgt, p, cfg)
+        comb_t = render_heatmaps(*keynet(tgt, p, cfg), 4, cfg.heatmap_sigma)
         transported = transport(Tensor(phi_s), phi_t, Tensor(comb_s), comb_t)
         return mse(refine(transported, p, cfg), tgt)
 

@@ -230,6 +230,44 @@ class TestExitCodes:
                      "--init", str(checkpoint), "--out", str(tmp_path / "m.lusk")])
         assert code == 2
 
+    def test_init_from_cbam_encoder_into_plain_model(self, dataset, tmp_path, capsys):
+        # the CBAM weights would be dropped without a word
+        enc = tmp_path / "enc.lusk"
+        assert main(["pretrain", *TINY, "--set", "use_cbam=true", "--set",
+                     "pretrain_epochs=1", "--data", str(dataset), "--out", str(enc)]) == 0
+        capsys.readouterr()
+        assert main(["train", *TINY, "--data", str(dataset), "--init", str(enc),
+                     "--out", str(tmp_path / "m.lusk")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "use_cbam=True" in err
+
+    def test_init_with_other_base_channels_refused_before_any_work(
+            self, dataset, checkpoint, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pairs sampled before the checkpoint was compared")
+
+        monkeypatch.setattr(training, "sample_pairs", refuse)
+        capsys.readouterr()
+        assert main(["train", *TINY, "--set", "base_channels=16", "--data", str(dataset),
+                     "--init", str(checkpoint), "--out", str(tmp_path / "m.lusk")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "base_channels=8" in err
+
+    def test_init_cut_at_a_record_boundary_is_data_error(self, dataset, checkpoint,
+                                                        tmp_path, capsys):
+        # a file of the first 8 records is as long as the full file cut after them
+        records = load_tensors(checkpoint)
+        assert len(records) == 15
+        first = tmp_path / "first.lusk"
+        save_tensors(first, dict(list(records.items())[:8]))
+        cut = tmp_path / "cut.lusk"
+        cut.write_bytes(checkpoint.read_bytes()[:first.stat().st_size])
+        capsys.readouterr()
+        assert main(["train", *TINY, "--data", str(dataset), "--init", str(cut),
+                     "--out", str(tmp_path / "m.lusk")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(cut) in err
+
     @pytest.mark.parametrize("setting", [
         "checkpoint_every=0", "lr_interval=0", "batch_size=0", "pair_retry_factor=0",
         "pretrain_epochs=0", "lr_decay=0", "lr_decay=-0.5", "lr0=nan", "lr0=inf",
@@ -281,6 +319,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert settings[0].partition("=")[0] in err
+
+    def test_infer_config_unlike_checkpoint(self, dataset, checkpoint, tmp_path, capsys):
+        # the config agrees with the checkpoint on every key but base_channels
+        config = tmp_path / "m.cfg"
+        config.write_text("input_size=32\nk=3\nbase_channels=16\n")
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config), "--ckpt", str(checkpoint),
+                     "--data", str(dataset), "--out", str(tmp_path / "pred")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "base_channels=16" in err
 
     def test_infer_accepts_model_override_like_checkpoint(self, dataset, checkpoint,
                                                           tmp_path):
@@ -354,9 +402,10 @@ class TestBadFrames:
         assert str(frame) in err
 
 
-# the first record is the 16-byte name "__model_config__": its rank is at
-# bytes 28-35 and its dims at 36-43; -2 cuts the last value short
-CHECKPOINT_CUTS = {"in_header": 6, "in_dims": 40, "in_data": -2}
+# the 12-byte header is magic, version and record count; the first record
+# is the 16-byte name "__model_config__": its rank is at bytes 32-39 and its
+# dims at 40-47; -2 cuts the last value short
+CHECKPOINT_CUTS = {"in_header": 6, "in_dims": 44, "in_data": -2}
 
 
 class TestBadCheckpoint:
@@ -369,6 +418,7 @@ class TestBadCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert str(ckpt) in err
+        return err
 
     @pytest.mark.parametrize("cut", sorted(CHECKPOINT_CUTS))
     def test_truncated(self, cut, dataset, checkpoint, tmp_path, capsys):
@@ -385,6 +435,14 @@ class TestBadCheckpoint:
         path = tmp_path / "short.lusk"
         save_tensors(path, records)
         self._infer_fails(path, dataset, tmp_path, capsys)
+
+    def test_seven_input_channels(self, dataset, checkpoint, tmp_path, capsys):
+        # the feature stack has 10 channels; slot 1 records that, not a setting
+        records = load_tensors(checkpoint)
+        records["__model_config__"][1] = 7
+        path = tmp_path / "seven.lusk"
+        save_tensors(path, records)
+        assert "input_channels slot 7.0" in self._infer_fails(path, dataset, tmp_path, capsys)
 
     def test_pretrained_encoder(self, dataset, tmp_path, capsys):
         path = tmp_path / "enc.lusk"
@@ -433,6 +491,7 @@ BAD_CSVS = {
     "extra_slot": GOOD_CSV + ["9,3,1.0,1.0\n"],
     "repeated_slot": GOOD_CSV + ["2,0,1.0,1.0\n"],
     "malformed_line": GOOD_CSV[:5] + ["1,2,3.0\n"] + GOOD_CSV[5:],
+    "renumbered_frame": GOOD_CSV[:27] + ["12" + line[1:] for line in GOOD_CSV[27:]],
 }
 
 
@@ -457,6 +516,13 @@ class TestKeypointsCsv:
                      "--out", str(tmp_path / "report.txt")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+
+    def test_missing_frame_named(self, tmp_path):
+        # frame 9 renumbered as 12 would be scored against frame 9's truth
+        path = _write_pred(tmp_path / "pred", BAD_CSVS["renumbered_frame"]) / "keypoints.csv"
+        with pytest.raises(DatasetError, match="frame 9 is missing") as info:
+            read_keypoints_csv(path)
+        assert str(path) in str(info.value)
 
     def test_fewer_prediction_frames_than_truth_is_data_error(self, dataset, tmp_path,
                                                               capsys):

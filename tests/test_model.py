@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lusk import model
 from lusk.fusion import FusionConfig
 from lusk.model import (ModelConfig, cbam, cell_to_pixel, check_config_match,
                         encode, infer_keypoints, init_params, keynet,
@@ -46,23 +49,31 @@ class TestEncode:
 
 
 class TestHeatmaps:
+    # with one slot (k=1) the clamped sum over slots is that slot's Gaussian
     def test_peak_value_one(self):
         rows = Tensor(np.array([[4.0]]))
         cols = Tensor(np.array([[7.0]]))
-        heat, _ = render_heatmaps(rows, cols, 16, 16, 1.5, np.float32)
+        heat = render_heatmaps(rows, cols, 16, 1.5)
+        assert heat.shape == (1, 1, 16, 16)
         assert abs(heat.data[0, 0, 4, 7] - 1.0) < 1e-6
 
     def test_value_at_one_sigma(self):
         sigma = 2.0
         rows = Tensor(np.array([[8.0]]))
         cols = Tensor(np.array([[8.0]]))
-        heat, _ = render_heatmaps(rows, cols, 16, 16, sigma, np.float32)
+        heat = render_heatmaps(rows, cols, 16, sigma)
         assert abs(heat.data[0, 0, 8 + 2, 8] - np.exp(-0.5)) < 1e-6
+
+    def test_dtype_follows_coordinates(self):
+        for dtype in (np.float32, np.float64):
+            rows = Tensor(np.array([[2.0, 5.0]], dtype=dtype))
+            assert render_heatmaps(rows, rows, 8, 1.5).dtype == dtype
 
     def test_combined_in_unit_range(self):
         rows = Tensor(np.array([[3.0, 3.2, 3.4]]))
         cols = Tensor(np.array([[5.0, 5.1, 5.2]]))
-        _, comb = render_heatmaps(rows, cols, 12, 12, 1.5, np.float32)
+        comb = render_heatmaps(rows, cols, 12, 1.5)
+        assert comb.shape == (1, 1, 12, 12)
         assert comb.data.min() >= 0.0 and comb.data.max() <= 1.0
 
     def test_combined_permutation_invariant(self):
@@ -70,15 +81,14 @@ class TestHeatmaps:
         r = rng.random((1, 4)) * 10
         c = rng.random((1, 4)) * 10
         perm = [2, 0, 3, 1]
-        _, a = render_heatmaps(Tensor(r), Tensor(c), 12, 12, 1.5, np.float32)
-        _, b = render_heatmaps(Tensor(r[:, perm]), Tensor(c[:, perm]), 12, 12, 1.5,
-                               np.float32)
+        a = render_heatmaps(Tensor(r), Tensor(c), 12, 1.5)
+        b = render_heatmaps(Tensor(r[:, perm]), Tensor(c[:, perm]), 12, 1.5)
         assert np.abs(a.data - b.data).max() < 1e-6
 
     def test_coordinate_gradient_flows(self):
         rows = Tensor(np.array([[4.0]]), requires_grad=True)
         cols = Tensor(np.array([[4.0]]), requires_grad=True)
-        heat, _ = render_heatmaps(rows, cols, 9, 9, 1.5, np.float64)
+        heat = render_heatmaps(rows, cols, 9, 1.5)
         (heat * Tensor(np.linspace(0, 1, 81).reshape(1, 1, 9, 9))).sum().backward()
         assert rows.grad is not None and np.isfinite(rows.grad).all()
         assert abs(rows.grad[0, 0]) > 0
@@ -90,18 +100,18 @@ class TestKeynet:
         params = init_params(cfg, np.random.default_rng(0))
         params["keynet.head.w"].data[:] = 0.0
         params["keynet.head.b"].data[:] = 0.0
-        coords, heat, comb = keynet(rand_stack(cfg), params, cfg)
+        rows, cols = keynet(rand_stack(cfg), params, cfg)
         center = (cfg.input_size // cfg.feature_stride - 1) / 2.0
-        assert np.abs(coords.data - center).max() < 1e-3
-        assert heat.shape == (1, cfg.k, 16, 16)
-        assert comb.shape == (1, 1, 16, 16)
+        for coord in (rows, cols):
+            assert coord.shape == (1, cfg.k)
+            assert np.abs(coord.data - center).max() < 1e-3
 
     def test_coords_inside_grid(self):
         cfg = small_cfg()
         params = init_params(cfg, np.random.default_rng(1))
-        coords, _, _ = keynet(rand_stack(cfg, seed=2), params, cfg)
-        assert coords.data.min() >= 0.0
-        assert coords.data.max() <= cfg.input_size // cfg.feature_stride - 1
+        for coord in keynet(rand_stack(cfg, seed=2), params, cfg):
+            assert coord.data.min() >= 0.0
+            assert coord.data.max() <= cfg.input_size // cfg.feature_stride - 1
 
     def test_translation_equivariance_of_features(self):
         # rolling the input by one feature stride rolls the encoder's conv
@@ -184,6 +194,23 @@ class TestRefine:
         assert out.shape == (1, 10, 64, 64)
 
 
+def test_heatmaps_rendered_only_for_transport(monkeypatch):
+    # transport reads one map per frame; inference reads only the keypoints
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return render_heatmaps(*args)
+
+    monkeypatch.setattr(model, "render_heatmaps", counted)
+    cfg = small_cfg()
+    params = init_params(cfg, np.random.default_rng(0))
+    infer_keypoints(np.random.default_rng(1).random((64, 64)), params, cfg, FusionConfig())
+    assert calls == []
+    reconstruct(rand_stack(cfg, 0), rand_stack(cfg, 1), params, cfg)
+    assert calls == [16, 16]
+
+
 class TestCbam:
     def test_shape_preserved(self):
         cfg = small_cfg(use_cbam=True)
@@ -246,6 +273,28 @@ class TestCheckpoint:
     def test_config_mismatch_names_both_values(self):
         with pytest.raises(ValueError, match="k=3.*k=5"):
             check_config_match(small_cfg(), ModelConfig(input_size=64, k=5))
+
+    @pytest.mark.parametrize("change", [
+        dict(k=5), dict(input_size=32), dict(heatmap_sigma=2.0), dict(use_cbam=True),
+        dict(base_channels=16), dict(use_tga=False), dict(input_mode="norm_stack")])
+    def test_config_match_compares_every_field(self, change):
+        with pytest.raises(ValueError, match=next(iter(change))):
+            check_config_match(small_cfg(), replace(small_cfg(), **change))
+
+    def test_input_channels_is_not_a_setting(self):
+        assert "input_channels" not in ModelConfig.__dataclass_fields__
+        assert ModelConfig.input_channels == ModelConfig().input_channels == 10
+
+    @pytest.mark.parametrize("slot, value", [(1, 7), (3, 2)])
+    def test_fixed_slot_unlike_the_program_rejected(self, slot, value, tmp_path):
+        # slot 1 is input_channels and slot 3 feature_stride; neither is a
+        # setting, so a checkpoint holding another value is not one of ours
+        header = np.array([3, 10, 64, 4, 1.5, 0, 32, 1, 1, 0], dtype=np.float32)
+        header[slot] = value
+        path = tmp_path / "fixed.lusk"
+        save_tensors(path, {"__model_config__": header})
+        with pytest.raises(CheckpointError, match=f"slot {float(value)} is not"):
+            load_model(path)
 
     def test_v1_header_loads_fused_with_tga(self, tmp_path):
         # k, input_channels, input_size, feature_stride, heatmap_sigma,
