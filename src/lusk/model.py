@@ -16,7 +16,8 @@ import numpy as np
 from . import fusion
 from .tensor import (CheckpointError, Tensor, ShapeError, concat, conv2d,
                      instance_norm, load_tensors, save_tensors, spatial_softmax,
-                     stop_gradient, upsample_nearest2x)
+                     stop_gradient, upsample_conv2d)
+from .tensor import upsample_nearest2x  # noqa: F401  unused; perfbench/tracing.py times it
 
 CBAM_REDUCTION = 8
 INPUT_MODES = ("fused", "norm_stack")
@@ -118,9 +119,9 @@ def cbam(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return x * sgate
 
 
-def _stage(x, params, name, cfg, cbam_prefix=None, stride=2):
-    """3x3 conv, instance norm, ReLU, then CBAM at cbam_prefix (if enabled)."""
-    h = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=stride, padding=1)
+def _stage(x, params, name, cfg, cbam_prefix=None):
+    """Stride-2 3x3 conv, instance norm, ReLU, then CBAM at cbam_prefix (if enabled)."""
+    h = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=2, padding=1)
     h = instance_norm(h)
     h = h.relu()
     if cbam_prefix and cfg.use_cbam:
@@ -186,15 +187,16 @@ def transport(phi_s: Tensor, phi_t: Tensor, h_s: Tensor, h_t: Tensor) -> Tensor:
 
 def refine(phi: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
            prefix: str = "refine") -> Tensor:
-    """Decoder: two upsample-2x stages back to input resolution, sigmoid
-    output in [0, 1] with exactly input_channels channels. Pretraining
-    runs the same decoder on its own parameters under another prefix."""
+    """Decoder: two nearest-2x upsample + 3x3 conv stages back to input
+    resolution (each one upsample_conv2d, which builds no upsampled
+    intermediate), instance norm and ReLU between them, sigmoid output in
+    [0, 1] with exactly input_channels channels. Pretraining runs the same
+    decoder on its own parameters under another prefix."""
     if phi.ndim != 4 or phi.shape[1] != cfg.feature_channels:
         raise ShapeError("refine", phi.shape, (-1, cfg.feature_channels, -1, -1))
-    h = upsample_nearest2x(phi)
-    h = _stage(h, params, f"{prefix}.conv1", cfg, stride=1)
-    h = upsample_nearest2x(h)
-    h = conv2d(h, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"], padding=1)
+    h = upsample_conv2d(phi, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
+    h = instance_norm(h).relu()
+    h = upsample_conv2d(h, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])
     return h.sigmoid()
 
 

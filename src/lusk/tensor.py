@@ -104,9 +104,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.requires_grad:
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad += g
+            if self.grad is None:  # a copy: add's backward hands one g to both parents
+                self.grad = np.array(g, dtype=self.data.dtype, order="C")
+            else:
+                self.grad += g
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -320,6 +321,82 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             b._accumulate(g.sum(axis=(0, 2, 3)))
 
     return _op(out_data, (x, w) if b is None else (x, w, b), backward)
+
+
+def _upsample_shifts():
+    """(u, v, phases, fold) for each 3x3 shift (u, v) of the padded input.
+
+    Output pixel (2y + a, 2x + b) of a 3x3 conv on the nearest-2x upsampled
+    input reads padded input row y + (a + i + 1) // 2 through kernel row i,
+    and columns likewise; so phase (a, b), buffer row 2a + b, is a 2x2 conv.
+    `phases` is the slice of the (a, b) rows that read shift (u, v): 4 at
+    the centre, 2 at an edge, 1 at a corner. `fold` is (phases, 9): which
+    of the kernel's 9 taps each phase sums at this shift.
+    """
+    shifts = []
+    for u, v in np.ndindex(3, 3):
+        rows = [a for a in (0, 1) if u - a in (0, 1)]
+        cols = [b for b in (0, 1) if v - b in (0, 1)]
+        phases = slice(2 * rows[0] + cols[0], 2 * rows[-1] + cols[-1] + 1,
+                       2 if len(rows) > len(cols) else 1)
+        fold = np.array([[(a + i + 1) // 2 == u and (b + j + 1) // 2 == v
+                          for i in range(3) for j in range(3)]
+                         for a in rows for b in cols], np.float32)
+        shifts.append((u, v, phases, fold))
+    return shifts
+
+
+_UPSAMPLE_SHIFTS = _upsample_shifts()
+
+
+def upsample_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """conv2d(upsample_nearest2x(x), w, b, padding=1) for a 3x3 kernel,
+    without building the upsampled input.
+
+    The four output phases are 2x2 convs at x's resolution (Shi et al.
+    2016). x is padded once, channel-major (c, n*hq*wq) as in conv2d; each
+    of the 9 shifts is one GEMM of the phase kernels that read it, stacked,
+    added into a (4, o, m) phase buffer that is then interleaved to NCHW.
+    """
+    if x.ndim != 4 or w.shape[1:] != (x.shape[1], 3, 3) or b.shape != w.shape[:1]:
+        raise ShapeError("upsample_conv2d", x.shape, w.shape, b.shape)
+    (n, c, h, wd), o = x.shape, w.shape[0]
+    hq, wq = h + 2, wd + 2
+    m = n * hq * wq - 2 * wq - 2  # one past the last valid output
+    xp = np.zeros((c, n, hq, wq), x.dtype)
+    xp[:, :, 1:h + 1, 1:wd + 1] = x.data.swapaxes(0, 1)
+    xp = xp.reshape(c, -1)
+    taps = w.data.transpose(2, 3, 0, 1).reshape(9, o * c)
+    kernels = [(fold @ taps).reshape(-1, c) for *_, fold in _UPSAMPLE_SHIFTS]
+    dtype = np.result_type(x.data, w.data)
+    out = np.zeros((4, o, m), dtype)
+    for (u, v, phases, _), k in zip(_UPSAMPLE_SHIFTS, kernels):
+        off = u * wq + v
+        out[phases] += (k @ xp[:, off:off + m]).reshape(-1, o, m)
+    # out[2a + b, :, (image * hq + y) * wq + x] is output pixel (2y + a, 2x + b)
+    out_data = as_strided(out, (n, o, h, 2, wd, 2),
+                          [out.itemsize * k for k in (hq * wq, m, wq, 2 * o * m, 1, o * m)],
+                          writeable=False).copy().reshape(n, o, 2 * h, 2 * wd)
+    out_data += b.data.reshape(1, o, 1, 1)
+
+    def backward(g):
+        gp = np.zeros((2, 2, o, n, hq, wq), g.dtype)
+        gp[..., :h, :wd] = g.reshape(n, o, h, 2, wd, 2).transpose(3, 5, 1, 0, 2, 4)
+        go = gp.reshape(4, o, -1)[:, :, :m]
+        gtaps = np.zeros((9, o * c), dtype)
+        gxp = np.zeros((c, xp.shape[1]), dtype) if x.requires_grad else None
+        for (u, v, phases, fold), k in zip(_UPSAMPLE_SHIFTS, kernels):
+            off = u * wq + v
+            gs = go[phases].reshape(-1, m)
+            gtaps += fold.T @ (gs @ xp[:, off:off + m].T).reshape(len(fold), -1)
+            if gxp is not None:
+                gxp[:, off:off + m] += k.T @ gs
+        w._accumulate(gtaps.reshape(3, 3, o, c).transpose(2, 3, 0, 1))
+        if gxp is not None:
+            x._accumulate(gxp.reshape(c, n, hq, wq)[:, :, 1:h + 1, 1:wd + 1].swapaxes(0, 1))
+        b._accumulate(g.sum(axis=(0, 2, 3)))
+
+    return _op(out_data, (x, w, b), backward)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

@@ -17,7 +17,7 @@ from lusk.model import (ModelConfig, encode, init_params, keynet, refine, render
                         transport)
 from lusk.synth import SceneSpec, generate
 from lusk.tensor import (Tensor, concat, conv2d, instance_norm, mse, spatial_softmax,
-                         upsample_nearest2x)
+                         upsample_conv2d, upsample_nearest2x)
 from lusk.train import PairSamplingError, TrainConfig, lr_at
 from oracles import gradcheck, monogenic_direct
 
@@ -47,6 +47,8 @@ _OPS = [
     ("conv2d", lambda x, w: _square(conv2d(x, w, stride=2, padding=1)).sum(),
      [(1, 2, 6, 6), (3, 2, 3, 3)]),
     ("upsample", lambda a: _square(upsample_nearest2x(a)).sum(), [(1, 2, 3, 3)]),
+    ("upsample_conv2d", lambda x, w, b: _square(upsample_conv2d(x, w, b)).sum(),
+     [(1, 2, 3, 2), (3, 2, 3, 3), (3,)]),
     ("spatial_softmax", lambda x: (spatial_softmax(x) * Tensor(
         np.random.default_rng(0).random((1, 2, 5, 5)))).sum(), [(1, 2, 5, 5)]),
     ("instance_norm", lambda a: (instance_norm(a) * Tensor(

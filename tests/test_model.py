@@ -9,7 +9,8 @@ from lusk.model import (ModelConfig, cbam, cell_to_pixel, check_config_match,
                         encode, infer_keypoints, init_params, keynet,
                         load_model, render_heatmaps, reconstruct, refine,
                         save_model, transport)
-from lusk.tensor import CheckpointError, ShapeError, Tensor, conv2d, save_tensors
+from lusk.tensor import (CheckpointError, ShapeError, Tensor, conv2d, save_tensors,
+                         upsample_conv2d)
 
 
 def small_cfg(**kw):
@@ -192,6 +193,24 @@ class TestRefine:
         params = init_params(cfg, np.random.default_rng(0))
         out = reconstruct(rand_stack(cfg, 0), rand_stack(cfg, 1), params, cfg)
         assert out.shape == (1, 10, 64, 64)
+
+    def test_two_upsample_convs_and_no_upsampled_intermediate(self, monkeypatch):
+        calls = []
+
+        def counted(x, w, b):
+            calls.append(x.shape[2:])
+            return upsample_conv2d(x, w, b)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("refine builds an upsampled intermediate")
+
+        monkeypatch.setattr(model, "upsample_conv2d", counted)
+        monkeypatch.setattr(model, "conv2d", refused)
+        monkeypatch.setattr(model, "upsample_nearest2x", refused)
+        cfg = small_cfg()
+        phi = Tensor(np.ones((1, cfg.feature_channels, 16, 16), np.float32))
+        refine(phi, init_params(cfg, np.random.default_rng(0)), cfg)
+        assert calls == [(16, 16), (32, 32)]
 
 
 def test_heatmaps_rendered_only_for_transport(monkeypatch):

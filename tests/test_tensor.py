@@ -6,7 +6,8 @@ import pytest
 
 from lusk.tensor import (Adam, CheckpointError, ShapeError, Tensor, concat, conv2d,
                          instance_norm, load_tensors, mse, save_tensors,
-                         spatial_softmax, stop_gradient, upsample_nearest2x)
+                         spatial_softmax, stop_gradient, upsample_conv2d,
+                         upsample_nearest2x)
 from oracles import gradcheck
 
 
@@ -166,6 +167,74 @@ class TestConvOracleGrid:
         assert np.abs(w.grad - _conv_grad_oracle(x.data, w.data, g, 2, 1)[1]).max() < 1e-10
 
 
+def _upsample_conv_grads(x, w, b, g, op):
+    """Output and (x, w, b) gradients of sum(g * op(x, w, b)) on fresh float64 leaves."""
+    x, w, b = (t(a) for a in (x, w, b))
+    out = op(x, w, b)
+    (out * Tensor(g)).sum().backward()
+    return out.data, x.grad, w.grad, b.grad
+
+
+def _upsample_then_conv(x, w, b):
+    return conv2d(upsample_nearest2x(x), w, b, padding=1)
+
+
+class TestUpsampleConvOracleGrid:
+    """upsample_conv2d against the composite it replaces, in float64."""
+
+    @pytest.mark.parametrize("size", [(1, 1), (1, 4), (2, 1), (5, 7), (8, 8)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_composite(self, batch, size):
+        rng = np.random.default_rng(size[0] * 10 + size[1] + batch)
+        x = rng.standard_normal((batch, 3, *size))
+        w = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal(4)
+        g = rng.standard_normal((batch, 4, 2 * size[0], 2 * size[1]))
+        got = _upsample_conv_grads(x, w, b, g, upsample_conv2d)
+        want = _upsample_conv_grads(x, w, b, g, _upsample_then_conv)
+        for name, a, r in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
+            assert a.shape == r.shape, name
+            assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(0)
+        x = t(rng.standard_normal((2, 3, 5, 7)), grad=False)
+        w, b = t(rng.standard_normal((4, 3, 3, 3))), t(rng.standard_normal(4))
+        out = upsample_conv2d(x, w, b)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        assert x.grad is None
+        want = _upsample_conv_grads(x.data, w.data, b.data, g, _upsample_then_conv)
+        assert np.abs(w.grad - want[2]).max() <= 1e-12 * np.abs(want[2]).max()
+
+    def test_rejects_a_kernel_that_is_not_3x3(self):
+        with pytest.raises(ShapeError, match="upsample_conv2d"):
+            upsample_conv2d(t(np.zeros((1, 3, 4, 4))), t(np.zeros((4, 3, 1, 1))),
+                            t(np.zeros(4)))
+
+
+class TestUpsampleConvMemory:
+    @pytest.mark.parametrize("shape,c_out", [((32, 64, 16, 16), 32), ((32, 32, 32, 32), 10)])
+    def test_step_peak_below_the_composite(self, shape, c_out):
+        # the desk refine.conv1 and refine.conv2 shapes; the composite builds
+        # the 4x upsampled input and its gradient
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal((c_out, shape[1], 3, 3)).astype(np.float32)
+        b = np.zeros(c_out, np.float32)
+        peaks = []
+        for op in (upsample_conv2d, _upsample_then_conv):
+            leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+            tracemalloc.start()
+            try:
+                op(*leaves).sum().backward()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(leaf.grad is not None for leaf in leaves)
+        assert peaks[0] <= 0.6 * peaks[1], peaks
+
+
 class TestConvMemory:
     @pytest.mark.parametrize("shape,c_out", [((4, 32, 128, 128), 10), ((4, 64, 64, 64), 32)])
     def test_step_peak_stays_near_operand_size(self, shape, c_out):
@@ -232,6 +301,14 @@ class TestBackward:
         (stop_gradient(x) * x).sum().backward()
         assert np.allclose(x.grad, x.data)  # only the live factor contributes
 
+    def test_add_parents_get_distinct_gradients(self):
+        # add's backward hands one array to both parents; each keeps its own copy
+        a, b = t([1.0, 2.0]), t([3.0, 4.0])
+        (a + b).sum().backward()
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        a.grad[0] = 7.0
+        assert np.array_equal(b.grad, [1.0, 1.0])
+
     def test_conv_weight_grad_finite_difference(self):
         target = Tensor(np.zeros((1, 2, 4, 4)))
         rep = gradcheck(
@@ -259,6 +336,8 @@ _LINKAGE_OPS = [
      [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
     ("upsample", lambda a: upsample_nearest2x(a), [(1, 2, 3, 3)]),
     ("spatial_softmax", lambda a: spatial_softmax(a), [(1, 2, 3, 3)]),
+    ("upsample_conv2d", lambda x, w, b: upsample_conv2d(x, w, b),
+     [(1, 2, 3, 2), (3, 2, 3, 3), (3,)]),
 ]
 
 
@@ -319,6 +398,8 @@ class TestGradcheck:
         ("instance_norm", lambda a: (instance_norm(a) * Tensor(
             np.random.default_rng(1).random((1, 2, 4, 4)))).sum(), [(1, 2, 4, 4)]),
         ("mse", lambda a, b: mse(a, b), [(3, 4), (3, 4)]),
+        ("upsample_conv2d", lambda x, w, b: _square(upsample_conv2d(x, w, b)).sum(),
+         [(2, 2, 3, 2), (3, 2, 3, 3), (3,)]),
     ])
     def test_op(self, name, fn, shapes):
         rep = gradcheck(fn, shapes, seed=7)
