@@ -67,7 +67,7 @@ def cmd_pretrain(args) -> int:
     frames = synth.load_frames(args.data)
     stacks = training.compute_stacks([frames], cfg.model, cfg.fusion)[0]
     enc_params, losses = training.pretrain_encoder(stacks, cfg.model, cfg.train)
-    model.save_model(args.out, enc_params, cfg.model)
+    model.save_model(args.out, enc_params, cfg.model, cfg.fusion)
     print(f"pretrained encoder: loss {losses[0]:.6f} -> {losses[-1]:.6f}, wrote {args.out}")
     return 0
 
@@ -77,8 +77,10 @@ def cmd_train(args) -> int:
     _check_checkpoint_path(args.out)
     init = None
     if args.init:
-        init, init_cfg = model.load_model(args.init)
+        init, init_cfg, init_fusion = model.read_checkpoint(args.init)
         model.check_config_match(init_cfg, cfg.model)
+        model.check_config_match(init_fusion, cfg.fusion)
+        model.check_params(init, cfg.model, args.init)
     frames = synth.load_frames(args.data)
     result = training.train([frames], cfg.model, cfg.fusion, cfg.train,
                             cfg.pair_count, init=init, checkpoint_path=args.out)
@@ -100,19 +102,19 @@ def _overlay(frame: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 def cmd_infer(args) -> int:
     cfg = _run_config(args)
-    params, model_cfg = model.load_model(args.ckpt)
-    model.check_keynet_params(params, model_cfg, args.ckpt)
-    # the checkpoint fixes the model: --config, and any model key --set gives, must agree
+    params, model_cfg, fusion_cfg = model.read_checkpoint(args.ckpt)
+    model.check_params(params, model_cfg, args.ckpt, required="keynet.")
+    # the checkpoint fixes model and fusion: --config, and any such key --set gives, must agree
     keys = {item.partition("=")[0].strip() for item in args.set or ()}
-    model.check_config_match(model_cfg, cfg.model, [
-        f for f in model.ModelConfig.__dataclass_fields__ if args.config or f in keys])
+    for loaded, configured in ((model_cfg, cfg.model), (fusion_cfg, cfg.fusion)):
+        model.check_config_match(loaded, configured, None if args.config else keys)
     frames = synth.load_frames(args.data)
     os.makedirs(args.out, exist_ok=True)
     rows, cols = frames.shape[1:]
     with open(os.path.join(args.out, "keypoints.csv"), "w", encoding="utf-8") as f:
         f.write("frame,slot,row,col\n")
         for t, frame in enumerate(frames):
-            coords = model.infer_keypoints(frame, params, model_cfg, cfg.fusion)
+            coords = model.infer_keypoints(frame, params, model_cfg, fusion_cfg)
             # the model sees an input_size square: map each axis back on its own
             coords[:, 0] *= rows / model_cfg.input_size
             coords[:, 1] *= cols / model_cfg.input_size

@@ -2,7 +2,7 @@
 
 One key per line, `#` comments, unknown keys rejected with file/line
 diagnostics. Command-line overrides are applied after the file, later
-wins. parse -> serialize -> parse is a fixed point.
+wins.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ def _parse_lambdas(v: str):
     return tuple(_parse_float(x) for x in v.split(","))
 
 
-def _format_lambdas(lam) -> str:
-    return ",".join(repr(float(x)) for x in lam)
-
-
 def _parse_b_lines(v: str):
     if not v.strip():
         return ()
@@ -85,24 +81,17 @@ def _parse_b_lines(v: str):
     return tuple(specs)
 
 
-def _format_b_lines(b_lines) -> str:
-    return ";".join(f"{b.column!r}:{b.drift!r}:{b.width!r}:{b.brightness!r}"
-                    for b in b_lines)
-
-
-_CODECS = {int: (int, repr), float: (_parse_float, repr), str: (str, str),
-           bool: (_parse_bool, lambda b: str(bool(b)).lower())}
-# tuple fields each have their own codec
-_FIELD_CODECS = {"lambdas": (_parse_lambdas, _format_lambdas),
-                 "b_lines": (_parse_b_lines, _format_b_lines)}
+_PARSERS = {int: int, float: _parse_float, str: str, bool: _parse_bool}
+# tuple fields each have their own parser
+_FIELD_PARSERS = {"lambdas": _parse_lambdas, "b_lines": _parse_b_lines}
 
 # Section fields the program sets itself, never read from a config:
 _INTERNAL = {"seed"}  # copied from the top-level seed by RunConfig.validate
 
 
 def _build_keys():
-    """key -> (section attr or None for top level, parse, format). Each key
-    is named after its dataclass field and coded by the field's annotation."""
+    """key -> (section attr or None for top level, parse). Each key is
+    named after its dataclass field and parsed by the field's annotation."""
     entries = []
     for name, hint in get_type_hints(RunConfig).items():
         if is_dataclass(hint):
@@ -110,7 +99,7 @@ def _build_keys():
                         if key not in _INTERNAL]
         else:
             entries.append((name, None, hint))
-    keys = {key: (section, *(_FIELD_CODECS.get(key) or _CODECS[hint]))
+    keys = {key: (section, _FIELD_PARSERS.get(key) or _PARSERS[hint])
             for key, section, hint in entries}
     if len(keys) != len(entries):
         raise TypeError("a config key is declared in two sections")
@@ -123,7 +112,7 @@ _KEYS = _build_keys()
 def apply_setting(cfg: RunConfig, key: str, value: str, where: str = "<override>"):
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown config key {key!r}")
-    section, parse, _ = _KEYS[key]
+    section, parse = _KEYS[key]
     try:
         parsed = parse(value)
     except ValueError as exc:
@@ -167,11 +156,3 @@ def load_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"override must be key=value, got {item!r}")
         apply_setting(cfg, key.strip(), value.strip())
     return cfg.validate()
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for key, (section, _, fmt) in _KEYS.items():
-        target = cfg if section is None else getattr(cfg, section)
-        lines.append(f"{key}={fmt(getattr(target, key))}")
-    return "\n".join(lines) + "\n"

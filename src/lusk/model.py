@@ -8,6 +8,8 @@ between frame pairs, and a refinement decoder that reconstructs the
 
 from __future__ import annotations
 
+import ast
+import math
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -20,7 +22,6 @@ from .tensor import (CheckpointError, Tensor, ShapeError, concat, conv2d,
 from .tensor import upsample_nearest2x  # noqa: F401  unused; perfbench/tracing.py times it
 
 CBAM_REDUCTION = 8
-INPUT_MODES = ("fused", "norm_stack")
 
 
 @dataclass
@@ -45,7 +46,7 @@ class ModelConfig:
                 f"input_size {self.input_size} not divisible by stride {self.feature_stride}")
         if self.heatmap_sigma <= 0:
             raise ValueError(f"heatmap_sigma must be > 0, got {self.heatmap_sigma}")
-        if self.input_mode not in INPUT_MODES:
+        if self.input_mode not in ("fused", "norm_stack"):
             raise ValueError(f"unknown input_mode {self.input_mode!r}")
         return self
 
@@ -239,69 +240,85 @@ def infer_keypoints(frame: np.ndarray, params: dict[str, Tensor], cfg: ModelConf
 
 # -- checkpoints ------------------------------------------------------------
 
-_CONFIG_RECORD = "__model_config__"
-# v1 checkpoints end after `normalize`, so later slots load as defaults;
-# `input_mode` is its INPUT_MODES index
-_CONFIG_FIELDS = ("k", "input_channels", "input_size", "feature_stride",
-                  "heatmap_sigma", "use_cbam", "base_channels", "normalize",
-                  "use_tga", "input_mode")
-# slots that are no field hold the one value this model takes (every stage runs instance norm)
-_FIXED_SLOTS = {"input_channels": ModelConfig.input_channels,
-                "feature_stride": ModelConfig.feature_stride, "normalize": 1}
+_CONFIG_RECORD = "__config__"
+# computed once: get_type_hints costs more than the rest of a load
+_RECORD_TYPES = {name: hint for section in (ModelConfig, fusion.FusionConfig)
+                 for name, hint in get_type_hints(section).items()}
 
 
-def save_model(path, params: dict[str, Tensor], cfg: ModelConfig):
-    values = [_FIXED_SLOTS[f] if f in _FIXED_SLOTS else getattr(cfg, f)
-              for f in _CONFIG_FIELDS]
-    header = np.array([INPUT_MODES.index(v) if isinstance(v, str) else float(v)
-                       for v in values], dtype=np.float32)
-    records = {_CONFIG_RECORD: header}
-    records.update(params)
-    save_tensors(path, records)
+def _has_type(value, hint) -> bool:
+    """Whether value is exactly of type hint (5.0 is no int, 1 no bool or float), finite."""
+    if hint is tuple:
+        return type(value) is tuple and all(_has_type(v, float) for v in value)
+    return type(value) is hint and (hint is not float or math.isfinite(value))
+
+
+def save_model(path, params: dict[str, Tensor], cfg: ModelConfig,
+               fusion_cfg: fusion.FusionConfig | None = None):
+    """Write params after a config record: a `field=repr(value)` line per
+    field of cfg and fusion_cfg (default FusionConfig()), a float32 per byte."""
+    sections = (cfg, fusion_cfg or fusion.FusionConfig())
+    text = "".join(f"{f}={getattr(c, f)!r}\n" for c in sections for f in c.__dataclass_fields__)
+    record = np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float32)
+    save_tensors(path, {_CONFIG_RECORD: record, **params})
+
+
+def read_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig, fusion.FusionConfig]:
+    """Parameters (requiring no gradient), model and fusion config of a
+    checkpoint; a malformed config record raises CheckpointError."""
+    records = load_tensors(path)
+    if _CONFIG_RECORD not in records:
+        raise CheckpointError(f"{path}: missing config record")
+    record = records.pop(_CONFIG_RECORD)
+    # NaN fails every comparison, so it is no byte either
+    if record.ndim != 1 or not np.all((record >= 0) & (record <= 255) & (record % 1 == 0)):
+        raise CheckpointError(f"{path}: config record holds values that are not bytes")
+    try:
+        text = record.astype(np.uint8).tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: config record is not UTF-8 text") from None
+    values = {}
+    for line in text.splitlines():
+        name, _, literal = line.partition("=")
+        try:
+            value = ast.literal_eval(literal)
+        except (SyntaxError, ValueError, TypeError, MemoryError, RecursionError):
+            raise CheckpointError(f"{path}: config line {line!r} does not parse") from None
+        if name not in _RECORD_TYPES or name in values:
+            raise CheckpointError(f"{path}: config line {line!r} names no setting or repeats one")
+        if not _has_type(value, _RECORD_TYPES[name]):
+            raise CheckpointError(f"{path}: config line {line!r} has the wrong type")
+        values[name] = value
+    try:
+        cfg, fusion_cfg = (section(**{f: values[f] for f in section.__dataclass_fields__})
+                           .validate() for section in (ModelConfig, fusion.FusionConfig))
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: config record lacks {exc.args[0]}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return {name: Tensor(arr) for name, arr in records.items()}, cfg, fusion_cfg
 
 
 def load_model(path) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Parameters (requiring no gradient) and config of a checkpoint; a
-    malformed config record raises CheckpointError."""
-    records = load_tensors(path)
-    if _CONFIG_RECORD not in records:
-        raise CheckpointError(f"{path}: missing model config record")
-    vals = records.pop(_CONFIG_RECORD)
-    if vals.shape not in ((8,), (len(_CONFIG_FIELDS),)):
-        raise CheckpointError(f"{path}: model config record has shape {vals.shape}, "
-                              f"expected 8 or {len(_CONFIG_FIELDS)} slots")
-    types = get_type_hints(ModelConfig)
-    kwargs = {}
-    for name, v in zip(_CONFIG_FIELDS, vals):
-        if name in _FIXED_SLOTS:
-            if v != _FIXED_SLOTS[name]:
-                raise CheckpointError(f"{path}: checkpoint {name} slot {v} is not "
-                                      f"{_FIXED_SLOTS[name]}, the only value this model takes")
-            continue
-        if not np.isfinite(v) or (types[name] is str and v not in range(len(INPUT_MODES))):
-            raise CheckpointError(f"{path}: checkpoint {name} slot {v} is out of range")
-        kwargs[name] = INPUT_MODES[int(v)] if types[name] is str else types[name](v)
-    try:
-        cfg = ModelConfig(**kwargs).validate()
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-    params = {name: Tensor(arr) for name, arr in records.items()}
-    return params, cfg
+    """read_checkpoint without the fusion config."""
+    return read_checkpoint(path)[:2]
 
 
-def check_keynet_params(params: dict[str, Tensor], cfg: ModelConfig, path):
-    """Raise CheckpointError unless params holds every parameter keynet()
-    reads, at the shape cfg gives it; a pretrained encoder holds none."""
-    for name, p in init_params(cfg, np.random.default_rng(0)).items():
-        if name.startswith("keynet.") and getattr(params.get(name), "shape", None) != p.shape:
-            raise CheckpointError(f"{path}: no keynet parameter {name} of shape {p.shape}")
+def check_params(params: dict[str, Tensor], cfg: ModelConfig, path, required=()):
+    """Raise CheckpointError unless params are init_params(cfg) at their
+    shapes, less those whose names do not start with `required`."""
+    shapes = {name: p.shape for name, p in init_params(cfg, np.random.default_rng(0)).items()}
+    for name in sorted(params.keys() | {n for n in shapes if n.startswith(required)}):
+        got = getattr(params.get(name), "shape", None)
+        if got != shapes.get(name):
+            raise CheckpointError(f"{path}: parameter {name} has shape {got} in the "
+                                  f"checkpoint and {shapes.get(name)} in the configured model")
 
 
-def check_config_match(loaded: ModelConfig, expected: ModelConfig,
-                       fields=tuple(ModelConfig.__dataclass_fields__)):
-    """Reject checkpoint/config mismatches in `fields` (by default every
-    ModelConfig field), naming both values."""
-    for f in fields:
+def check_config_match(loaded, expected, fields=None):
+    """Reject checkpoint/config mismatches in the fields of two configs of
+    one dataclass (those in `fields`, if given), naming both values."""
+    for f in loaded.__dataclass_fields__:
         a, b = getattr(loaded, f), getattr(expected, f)
-        if a != b:
+        if a != b and (fields is None or f in fields):
             raise ValueError(f"checkpoint {f}={a} does not match configured {f}={b}")

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_MAGIC = b"LUSK"
-CHECKPOINT_VERSION = 2  # v2 adds the record count; v1 files still load
+CHECKPOINT_VERSION = 3  # v3 models keep their config as text; v1 and v2 files are refused
 
 
 class CheckpointError(ValueError):
@@ -527,8 +527,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
 
 def load_tensors(path) -> dict[str, np.ndarray]:
     """Read LUSK records; every length is checked against the file size, and
-    an unreadable, truncated or malformed file raises CheckpointError. v1
-    files have no record count: their records run to the end of the file."""
+    an unreadable, truncated or malformed file raises CheckpointError."""
     try:
         with open(path, "rb") as f:
             blob = memoryview(f.read())
@@ -549,11 +548,11 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         raise CheckpointError(
             f"{path}: bad magic {bytes(magic)!r}, expected {CHECKPOINT_MAGIC!r}")
     (version,) = struct.unpack("<I", take(4, "the version"))
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    count = struct.unpack("<I", take(4, "the record count"))[0] if version > 1 else None
+    (count,) = struct.unpack("<I", take(4, "the record count"))
     out: dict[str, np.ndarray] = {}
-    while len(out) < count if count is not None else off < len(blob):
+    while len(out) < count:
         (nlen,) = struct.unpack("<I", take(4, "a record name length"))
         try:
             name = str(take(nlen, "a record name"), "utf-8")

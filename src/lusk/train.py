@@ -209,9 +209,9 @@ def train(videos, model_cfg: model.ModelConfig, fusion_cfg: fusion.FusionConfig,
         losses.append(loss)
         lrs.append(lr)
         if checkpoint_path and (epoch + 1) % cfg.checkpoint_every == 0:
-            model.save_model(checkpoint_path, params, model_cfg)
+            model.save_model(checkpoint_path, params, model_cfg, fusion_cfg)
     if checkpoint_path:
-        model.save_model(checkpoint_path, params, model_cfg)
+        model.save_model(checkpoint_path, params, model_cfg, fusion_cfg)
     return TrainResult(params=params, losses=losses, lrs=lrs)
 
 

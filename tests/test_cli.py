@@ -7,8 +7,7 @@ import pytest
 from lusk import fusion, synth
 from lusk import train as training
 from lusk.cli import main, read_keypoints_csv
-from lusk.config import (ConfigError, RunConfig, load_config, parse_config,
-                         serialize_config)
+from lusk.config import _KEYS, ConfigError, load_config, parse_config
 from lusk.pgm import read_pgm, write_pgm
 from lusk.synth import BLineSpec, DatasetError
 from lusk.tensor import CheckpointError, load_tensors, save_tensors
@@ -21,16 +20,10 @@ TINY = ["--set", "size=32", "--set", "frames=10", "--set", "input_size=32",
 
 
 class TestConfig:
-    def test_serialize_parse_fixed_point(self):
-        cfg = RunConfig()
-        cfg.fusion.sigma0 = 0.6
-        cfg.model.use_cbam = True
-        cfg.scene.b_lines = (BLineSpec(0.3, 0.1, 1.5, 0.9), BLineSpec())
-        text = serialize_config(cfg.validate())
-        cfg2 = parse_config(text).validate()
-        assert serialize_config(cfg2) == text
-        assert cfg2.scene.b_lines == cfg.scene.b_lines
-        assert cfg2.fusion.lambdas == cfg.fusion.lambdas
+    def test_tuple_settings_parse(self):
+        cfg = parse_config("lambdas=3,6,9\nb_lines=0.3:0.1:1.5:0.9;0.5:0:2:1\n")
+        assert cfg.fusion.lambdas == (3.0, 6.0, 9.0)
+        assert cfg.scene.b_lines == (BLineSpec(0.3, 0.1, 1.5, 0.9), BLineSpec(0.5, 0.0, 2.0, 1.0))
 
     def test_unknown_keys_listed_with_lines(self):
         with pytest.raises(ConfigError, match=r"'bogus' \(line 2\).*'wat' \(line 4\)"):
@@ -61,9 +54,7 @@ class TestConfig:
     def test_key_list_pinned(self):
         # every dataclass field not marked internal in config.py is a user
         # setting; a new field must show up here on purpose
-        keys = [line.partition("=")[0]
-                for line in serialize_config(RunConfig().validate()).splitlines()]
-        assert keys == [
+        assert list(_KEYS) == [
             "sigma0", "lambdas", "thresh", "epsilon", "attenuation_a",
             "k", "input_size", "heatmap_sigma", "use_cbam", "base_channels",
             "use_tga", "input_mode",
@@ -340,6 +331,86 @@ class TestExitCodes:
         assert ((plain / "keypoints.csv").read_bytes()
                 == (same / "keypoints.csv").read_bytes())
 
+    @pytest.mark.parametrize("setting", [
+        "attenuation_a=0.2", "sigma0=0.6", "thresh=0.02", "epsilon=1e-05",
+        "lambdas=4,7,10,13,16,19,22,25,28,31"])
+    def test_infer_rejects_fusion_override_unlike_checkpoint(self, setting, dataset,
+                                                            checkpoint, tmp_path, capsys):
+        # the model was trained on stacks fused with the default settings
+        key = setting.partition("=")[0]
+        capsys.readouterr()
+        assert main(["infer", "--set", setting, "--ckpt", str(checkpoint),
+                     "--data", str(dataset), "--out", str(tmp_path / "pred")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        expected = getattr(fusion.FusionConfig(), key)
+        assert f"checkpoint {key}={expected} does not match configured {key}=" in err
+
+    def test_infer_config_fusion_unlike_checkpoint(self, dataset, checkpoint, tmp_path,
+                                                   capsys):
+        config = tmp_path / "m.cfg"
+        config.write_text("\n".join(TINY[1::2] + ["attenuation_a=0.2"]) + "\n")
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config), "--ckpt", str(checkpoint),
+                     "--data", str(dataset), "--out", str(tmp_path / "pred")]) == 2
+        assert ("checkpoint attenuation_a=1.5 does not match configured attenuation_a=0.2"
+                in capsys.readouterr().err)
+
+    def test_init_with_other_fusion_refused_before_any_work(
+            self, dataset, checkpoint, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pairs sampled before the checkpoint was compared")
+
+        monkeypatch.setattr(training, "sample_pairs", refuse)
+        capsys.readouterr()
+        assert main(["train", *TINY, "--set", "attenuation_a=0.2", "--data", str(dataset),
+                     "--init", str(checkpoint), "--out", str(tmp_path / "m.lusk")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "attenuation_a=1.5" in err
+
+    def test_init_with_misshapen_parameter_refused_before_any_work(
+            self, dataset, checkpoint, tmp_path, monkeypatch, capsys):
+        # the config record matches; the first convolution reads 7 channels, not 10
+        def refuse(*args, **kwargs):
+            raise AssertionError("pairs sampled before the parameters were checked")
+
+        records = load_tensors(checkpoint)
+        records["encoder.conv1.w"] = np.zeros((8, 7, 3, 3), np.float32)
+        bad = tmp_path / "bad.lusk"
+        save_tensors(bad, records)
+        monkeypatch.setattr(training, "sample_pairs", refuse)
+        capsys.readouterr()
+        assert main(["train", *TINY, "--data", str(dataset), "--init", str(bad),
+                     "--out", str(tmp_path / "m.lusk")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(bad) in err and "encoder.conv1.w has shape (8, 7, 3, 3)" in err
+
+
+class TestCheckpointIsTheRunRecord:
+    """The checkpoint keeps every model and fusion setting exactly as trained."""
+
+    def test_float_setting_matches_its_checkpoint(self, dataset, tmp_path):
+        # 0.3 is no float32 value: a record rounded to float32 would not match
+        sigma = ["--set", "heatmap_sigma=0.3"]
+        ckpt = tmp_path / "sigma.lusk"
+        assert main(["train", *TINY, *sigma, "--data", str(dataset), "--out", str(ckpt)]) == 0
+        assert main(["infer", *sigma, "--ckpt", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "pred")]) == 0
+        assert main(["train", *TINY, *sigma, "--set", "epochs=1", "--data", str(dataset),
+                     "--init", str(ckpt), "--out", str(tmp_path / "again.lusk")]) == 0
+
+    def test_infer_fuses_as_trained(self, dataset, tmp_path):
+        # infer needs no setting to fuse frames with the trained attenuation
+        ckpt = tmp_path / "attenuated.lusk"
+        assert main(["train", *TINY, "--set", "attenuation_a=0.2", "--seed", "0",
+                     "--data", str(dataset), "--out", str(ckpt)]) == 0
+        for name, extra in (("bare", []), ("set", ["--set", "attenuation_a=0.2"])):
+            assert main(["infer", *extra, "--ckpt", str(ckpt), "--data", str(dataset),
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "bare" / "keypoints.csv").read_bytes()
+                == (tmp_path / "set" / "keypoints.csv").read_bytes())
+
 
 # an --in or --out of the wrong kind: `afile` is an existing regular file and
 # `adir` an existing directory
@@ -402,10 +473,11 @@ class TestBadFrames:
         assert str(frame) in err
 
 
-# the 12-byte header is magic, version and record count; the first record
-# is the 16-byte name "__model_config__": its rank is at bytes 32-39 and its
-# dims at 40-47; -2 cuts the last value short
-CHECKPOINT_CUTS = {"in_header": 6, "in_dims": 44, "in_data": -2}
+# cut offset and the part it cuts: the 12-byte header is magic, version and
+# record count; the first record is the 10-byte name "__config__": its rank
+# is at bytes 26-33 and its dims at 34-41; -2 cuts the last value short
+CHECKPOINT_CUTS = {"in_header": (6, "the version"), "in_dims": (38, "the dims of __config__"),
+                   "in_data": (-2, "the values of refine.conv2.b")}
 
 
 class TestBadCheckpoint:
@@ -422,33 +494,39 @@ class TestBadCheckpoint:
 
     @pytest.mark.parametrize("cut", sorted(CHECKPOINT_CUTS))
     def test_truncated(self, cut, dataset, checkpoint, tmp_path, capsys):
+        offset, part = CHECKPOINT_CUTS[cut]
         path = tmp_path / "cut.lusk"
-        path.write_bytes(checkpoint.read_bytes()[:CHECKPOINT_CUTS[cut]])
-        self._infer_fails(path, dataset, tmp_path, capsys)
+        path.write_bytes(checkpoint.read_bytes()[:offset])
+        assert f"file ends inside {part}" in self._infer_fails(path, dataset, tmp_path, capsys)
 
     def test_directory(self, dataset, tmp_path, capsys):
         self._infer_fails(tmp_path, dataset, tmp_path, capsys)
 
     def test_three_slot_header(self, dataset, checkpoint, tmp_path, capsys):
+        # the config record cut to its first three bytes, `k=3`
         records = load_tensors(checkpoint)
-        records["__model_config__"] = records["__model_config__"][:3]
+        records["__config__"] = records["__config__"][:3]
         path = tmp_path / "short.lusk"
         save_tensors(path, records)
-        self._infer_fails(path, dataset, tmp_path, capsys)
+        assert "record lacks input_size" in self._infer_fails(path, dataset, tmp_path, capsys)
 
     def test_seven_input_channels(self, dataset, checkpoint, tmp_path, capsys):
-        # the feature stack has 10 channels; slot 1 records that, not a setting
+        # the feature stack has 10 channels, which is no setting, so a config
+        # record that declares 7 is not one of ours
         records = load_tensors(checkpoint)
-        records["__model_config__"][1] = 7
+        extra = np.frombuffer(b"input_channels=7\n", dtype=np.uint8).astype(np.float32)
+        records["__config__"] = np.concatenate([records["__config__"], extra])
         path = tmp_path / "seven.lusk"
         save_tensors(path, records)
-        assert "input_channels slot 7.0" in self._infer_fails(path, dataset, tmp_path, capsys)
+        err = self._infer_fails(path, dataset, tmp_path, capsys)
+        assert "'input_channels=7' names no setting" in err
 
     def test_pretrained_encoder(self, dataset, tmp_path, capsys):
         path = tmp_path / "enc.lusk"
         assert main(["pretrain", *TINY, "--set", "pretrain_epochs=1", "--data", str(dataset),
                      "--out", str(path)]) == 0
-        self._infer_fails(path, dataset, tmp_path, capsys)
+        err = self._infer_fails(path, dataset, tmp_path, capsys)
+        assert "parameter keynet.conv1.b has shape None in the checkpoint" in err
 
 
 OUT_PATHS = {"directory": lambda tmp: tmp, "missing_parent": lambda tmp: tmp / "no" / "m.lusk"}

@@ -6,11 +6,11 @@ import pytest
 from lusk import model
 from lusk.fusion import FusionConfig
 from lusk.model import (ModelConfig, cbam, cell_to_pixel, check_config_match,
-                        encode, infer_keypoints, init_params, keynet,
-                        load_model, render_heatmaps, reconstruct, refine,
-                        save_model, transport)
-from lusk.tensor import (CheckpointError, ShapeError, Tensor, conv2d, save_tensors,
-                         upsample_conv2d)
+                        check_params, encode, infer_keypoints, init_params, keynet,
+                        load_model, read_checkpoint, render_heatmaps, reconstruct,
+                        refine, save_model, transport)
+from lusk.tensor import (CheckpointError, ShapeError, Tensor, conv2d, load_tensors,
+                         save_tensors, upsample_conv2d)
 
 
 def small_cfg(**kw):
@@ -276,6 +276,61 @@ class TestInference:
         assert pts.min() >= 0.0 and pts.max() <= cfg.input_size
 
 
+def _record_values(text):
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float32)
+
+
+def _good_record_values(tmp_path):
+    """The config record of a small_cfg() model with default fusion: its
+    text starts `k=3`, `input_size=64`, ..."""
+    path = tmp_path / "good.lusk"
+    save_model(path, {}, small_cfg())
+    return load_tensors(path)["__config__"]
+
+
+def _good_record_text(tmp_path):
+    return bytes(_good_record_values(tmp_path).astype(np.uint8)).decode("utf-8")
+
+
+def _save_record(tmp_path, values):
+    path = tmp_path / "edited.lusk"
+    save_tensors(path, {"__config__": values})
+    return path
+
+
+# config record values that are no UTF-8 text: the edit of a good record's
+# values and the words its CheckpointError must contain
+BAD_RECORD_VALUES = {
+    "above_255": (lambda v: np.append(v, 256.0), "not bytes"),
+    "negative": (lambda v: np.append(v, -10.0), "not bytes"),
+    "fraction": (lambda v: np.append(v, 10.5), "not bytes"),
+    "nan": (lambda v: np.append(v, np.nan), "not bytes"),
+    "two_dims": (lambda v: v.reshape(1, -1), "not bytes"),
+    "not_utf8": (lambda v: np.append(v, 255.0), "not UTF-8"),
+}
+# config record texts that are no ModelConfig and FusionConfig: the edit of
+# a good record's text and the words its CheckpointError must contain
+BAD_RECORD_TEXTS = {
+    "no_equals": (lambda t: t + "garbage\n", "'garbage' does not parse"),
+    "bad_literal": (lambda t: t.replace("k=3\n", "k=(3\n"), "'k=\\(3' does not parse"),
+    "call": (lambda t: t.replace("k=3\n", "k=int(3)\n"), "does not parse"),
+    "missing": (lambda t: t.replace("use_tga=True\n", ""), "lacks use_tga"),
+    "input_channels": (lambda t: t + "input_channels=7\n", "names no setting or repeats one"),
+    "feature_stride": (lambda t: t + "feature_stride=2\n", "names no setting or repeats one"),
+    "normalize": (lambda t: t + "normalize=False\n", "names no setting or repeats one"),
+    "twice": (lambda t: t + "k=3\n", "'k=3' names no setting or repeats one"),
+    "float_for_int": (lambda t: t.replace("k=3\n", "k=5.0\n"), "'k=5.0' has the wrong type"),
+    "int_for_bool": (lambda t: t.replace("use_cbam=False", "use_cbam=1"), "has the wrong type"),
+    "str_in_lambdas": (lambda t: t.replace("(3.0, 6.0,", "(3.0, '6.0',"), "has the wrong type"),
+    "int_in_lambdas": (lambda t: t.replace("(3.0, 6.0,", "(3.0, 6,"), "has the wrong type"),
+    "infinite": (lambda t: t.replace("attenuation_a=1.5", "attenuation_a=1e999"),
+                 "has the wrong type"),
+    "bad_input_mode": (lambda t: t.replace("'fused'", "'bogus'"), "unknown input_mode"),
+    "zero_k": (lambda t: t.replace("k=3\n", "k=0\n"), "k must be >= 1"),
+    "bad_sigma0": (lambda t: t.replace("sigma0=0.55", "sigma0=1.5"), r"sigma0 must be in \(0,1\)"),
+}
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = small_cfg(heatmap_sigma=2.5)
@@ -304,53 +359,67 @@ class TestCheckpoint:
         assert "input_channels" not in ModelConfig.__dataclass_fields__
         assert ModelConfig.input_channels == ModelConfig().input_channels == 10
 
-    @pytest.mark.parametrize("slot, value", [(1, 7), (3, 2)])
-    def test_fixed_slot_unlike_the_program_rejected(self, slot, value, tmp_path):
-        # slot 1 is input_channels and slot 3 feature_stride; neither is a
-        # setting, so a checkpoint holding another value is not one of ours
-        header = np.array([3, 10, 64, 4, 1.5, 0, 32, 1, 1, 0], dtype=np.float32)
-        header[slot] = value
-        path = tmp_path / "fixed.lusk"
-        save_tensors(path, {"__model_config__": header})
-        with pytest.raises(CheckpointError, match=f"slot {float(value)} is not"):
-            load_model(path)
+    def test_round_trip_is_exact(self, tmp_path):
+        # float64 settings come back equal, not rounded to float32
+        cfg = small_cfg(heatmap_sigma=0.3)
+        fusion_cfg = FusionConfig(sigma0=0.6, attenuation_a=0.2,
+                                  lambdas=tuple(2.1 + 2.9 * i for i in range(10)))
+        path = tmp_path / "model.lusk"
+        save_model(path, init_params(cfg, np.random.default_rng(0)), cfg, fusion_cfg)
+        _, loaded, loaded_fusion = read_checkpoint(path)
+        assert loaded == cfg and loaded_fusion == fusion_cfg
+        assert loaded.heatmap_sigma == 0.3 and loaded_fusion.sigma0 == 0.6
+        assert loaded_fusion.attenuation_a == 0.2
 
-    def test_v1_header_loads_fused_with_tga(self, tmp_path):
-        # k, input_channels, input_size, feature_stride, heatmap_sigma,
-        # use_cbam, base_channels, normalize: the 8 slots of a v1 checkpoint
-        header = np.array([3, 10, 64, 4, 1.5, 0, 32, 1], dtype=np.float32)
-        params = init_params(small_cfg(), np.random.default_rng(0))
-        path = tmp_path / "v1.lusk"
-        save_tensors(path, {"__model_config__": header, **params})
-        _, cfg = load_model(path)
-        assert cfg.use_tga is True and cfg.input_mode == "fused"
-        assert cfg == small_cfg()
+    def test_fusion_config_defaults_when_not_given(self, tmp_path):
+        path = tmp_path / "model.lusk"
+        save_model(path, init_params(small_cfg(), np.random.default_rng(0)), small_cfg())
+        assert read_checkpoint(path)[2] == FusionConfig()
 
-    @pytest.mark.parametrize("header", [
-        [3, 10, 64, 4, 1.5, 0, 32, 0],
-        [3, 10, 64, 4, 1.5, 0, 32, 0, 1, 0]])
-    def test_model_without_instance_norm_rejected(self, header, tmp_path):
-        # slot 7 held the normalize switch; every stage now runs instance
-        # norm, so a model trained without it would give wrong keypoints
-        params = init_params(small_cfg(), np.random.default_rng(0))
-        path = tmp_path / "no_norm.lusk"
-        save_tensors(path, {"__model_config__": np.array(header, np.float32), **params})
-        with pytest.raises(CheckpointError, match="normalize slot 0.0"):
-            load_model(path)
+    @pytest.mark.parametrize("case", sorted(BAD_RECORD_VALUES))
+    def test_record_values_not_text_rejected(self, case, tmp_path):
+        edit, words = BAD_RECORD_VALUES[case]
+        path = _save_record(tmp_path, edit(_good_record_values(tmp_path)))
+        with pytest.raises(CheckpointError, match=words) as info:
+            read_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("case", sorted(BAD_RECORD_TEXTS))
+    def test_malformed_record_rejected(self, case, tmp_path):
+        edit, words = BAD_RECORD_TEXTS[case]
+        path = _save_record(tmp_path, _record_values(edit(_good_record_text(tmp_path))))
+        with pytest.raises(CheckpointError, match=words) as info:
+            read_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_check_params_rejects_unknown_and_misshapen(self):
+        cfg = small_cfg()
+        params = init_params(cfg, np.random.default_rng(0))
+        check_params(params, cfg, "m.lusk", required="keynet.")
+        with pytest.raises(CheckpointError, match="extra.w has shape .* and None in the"):
+            check_params({**params, "extra.w": params["keynet.head.w"]}, cfg, "m.lusk")
+        with pytest.raises(CheckpointError, match=r"encoder.conv1.w has shape \(32, 7, 3, 3\)"):
+            check_params({**params, "encoder.conv1.w": Tensor(np.zeros((32, 7, 3, 3)))},
+                         cfg, "m.lusk")
+        encoder = {n: p for n, p in params.items() if n.startswith("encoder.")}
+        check_params(encoder, cfg, "m.lusk")
+        with pytest.raises(CheckpointError, match="keynet.conv1.b has shape None in the"):
+            check_params(encoder, cfg, "m.lusk", required="keynet.")
 
     @pytest.mark.parametrize("slot", [2.0, -1.0, 0.5, float("nan")])
     def test_bad_input_mode_slot_rejected(self, slot, tmp_path):
-        header = np.array([3, 10, 64, 4, 1.5, 0, 32, 1, 1, slot], dtype=np.float32)
-        path = tmp_path / "bad.lusk"
-        save_tensors(path, {"__model_config__": header})
-        with pytest.raises(ValueError, match="input_mode"):
-            load_model(path)
+        # the numbers a float32 header's input_mode slot held are no mode:
+        # nan does not parse, the others have the wrong type
+        text = _good_record_text(tmp_path).replace("'fused'", repr(slot))
+        path = _save_record(tmp_path, _record_values(text))
+        with pytest.raises(CheckpointError, match=f"'input_mode={slot}' (does not parse|has the)"):
+            read_checkpoint(path)
 
     def test_missing_config_record_rejected(self, tmp_path):
         from lusk.tensor import save_tensors
         path = tmp_path / "raw.lusk"
         save_tensors(path, {"w": np.zeros(3, dtype=np.float32)})
-        with pytest.raises(ValueError, match="config"):
+        with pytest.raises(CheckpointError, match="missing config record"):
             load_model(path)
 
 

@@ -15,12 +15,10 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # model.upsample_nearest2x
 UNUSED_ON_PURPOSE = {("train", "conv2d"), ("model", "upsample_nearest2x")}
 # (module, name) defined at top level and read only by tests, on purpose:
-# serialize_config is the config module's documented parse -> serialize ->
-# parse round trip, which the checkpoint's config record (ROADMAP item 4)
-# will store; tensor.upsample_nearest2x is the float64 oracle of
-# upsample_conv2d and stays while perfbench/tracing.py's TIMED entry
+# tensor.upsample_nearest2x is the float64 oracle of upsample_conv2d and
+# stays while perfbench/tracing.py's TIMED entry
 # (model, "upsample_nearest2x", ...) patches it
-READ_BY_TESTS_ONLY = {("config", "serialize_config"), ("tensor", "upsample_nearest2x")}
+READ_BY_TESTS_ONLY = {("tensor", "upsample_nearest2x")}
 
 
 def unused_imports(source: str) -> list[str]:

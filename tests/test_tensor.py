@@ -489,18 +489,7 @@ class TestCheckpoint:
     def test_header_holds_version_and_record_count(self, tmp_path):
         path = tmp_path / "ck.lusk"
         save_tensors(path, {"w": np.ones(2, np.float32), "s": np.array(1.5, np.float32)})
-        assert struct.unpack("<4sII", path.read_bytes()[:12]) == (b"LUSK", 2, 2)
-
-    def test_v1_file_loads(self, tmp_path):
-        # v1 has no record count: its records run to the end of the file
-        path = tmp_path / "ck.lusk"
-        tensors = {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "s": np.array(1.5)}
-        save_tensors(path, tensors)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[12:])
-        loaded = load_tensors(path)
-        assert list(loaded) == ["w", "s"]
-        assert all(np.array_equal(loaded[n], tensors[n]) for n in tensors)
+        assert struct.unpack("<4sII", path.read_bytes()[:12]) == (b"LUSK", 3, 2)
 
     def test_bytes_after_the_last_record_rejected(self, tmp_path):
         path = tmp_path / "ck.lusk"
@@ -519,15 +508,19 @@ class TestCheckpoint:
             load_tensors(path)
 
     def test_unknown_version_rejected(self, tmp_path):
+        # v1 and v2 models kept their config in float32 slots; only v3 loads
         path = tmp_path / "ck.lusk"
-        path.write_bytes(b"LUSK" + struct.pack("<II", 3, 0))
-        with pytest.raises(CheckpointError, match="version 3"):
-            load_tensors(path)
+        save_tensors(path, {"w": np.ones(2, np.float32)})
+        blob = path.read_bytes()
+        for version in (1, 2, 4):
+            path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+            with pytest.raises(CheckpointError, match=f"checkpoint version {version}$"):
+                load_tensors(path)
 
     def test_more_dims_than_numpy_holds_rejected(self, tmp_path):
         path = tmp_path / "ck.lusk"
         rank = 65  # a zero dim keeps the value count, and so the file, small
-        path.write_bytes(b"LUSK" + struct.pack("<IIcQ", 1, 1, b"x", rank) + bytes(8 * rank))
+        path.write_bytes(b"LUSK" + struct.pack("<IIIcQ", 3, 1, 1, b"x", rank) + bytes(8 * rank))
         with pytest.raises(CheckpointError, match="record x"):
             load_tensors(path)
 
