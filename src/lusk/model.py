@@ -41,6 +41,10 @@ class ModelConfig:
     def validate(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.base_channels < 1:
+            raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
+        if self.input_size <= 0:
+            raise ValueError(f"input_size must be > 0, got {self.input_size}")
         if self.input_size % self.feature_stride:
             raise ValueError(
                 f"input_size {self.input_size} not divisible by stride {self.feature_stride}")
@@ -204,10 +208,14 @@ def refine(phi: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
 def reconstruct(stack_s: Tensor, stack_t: Tensor, params: dict[str, Tensor],
                 cfg: ModelConfig) -> Tensor:
     """Full transporter forward pass: encode both frames, locate keypoints,
-    transport source features into target keypoint regions, refine."""
-    phi_s = encode(stack_s, params, cfg)
+    transport source features into target keypoint regions, refine.
+
+    transport holds the source branch constant, so it runs on parameter
+    views that require no gradient and builds no graph."""
+    constant = {name: stop_gradient(p) for name, p in params.items()}
+    phi_s = encode(stack_s, constant, cfg)
     phi_t = encode(stack_t, params, cfg)
-    rows_s, cols_s = keynet(stack_s, params, cfg)
+    rows_s, cols_s = keynet(stack_s, constant, cfg)
     rows_t, cols_t = keynet(stack_t, params, cfg)
     h_s = render_heatmaps(rows_s, cols_s, phi_t.shape[2], cfg.heatmap_sigma)
     h_t = render_heatmaps(rows_t, cols_t, phi_t.shape[2], cfg.heatmap_sigma)

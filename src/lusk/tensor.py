@@ -216,7 +216,13 @@ class Tensor:
         """Backpropagate from a scalar loss.
 
         Gradients of all reachable tensors are overwritten, not
-        accumulated across calls.
+        accumulated across calls. The graph is released as it goes: once
+        an interior node's closure has run, it drops its closure and
+        parents (`_parents` becomes None), so a node nothing else holds is
+        freed with its data, gradient and saved arrays. Leaves, and
+        interior tensors the caller holds, keep `.grad`. A backward that
+        reaches a released node raises ValueError before any gradient
+        changes.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -230,6 +236,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ValueError("backward reaches a graph that an earlier backward released")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -238,9 +246,12 @@ class Tensor:
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node._parents = node._backward = None
 
 
 def stop_gradient(t: Tensor) -> Tensor:

@@ -114,11 +114,16 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
 
 def compute_stacks(videos, model_cfg: model.ModelConfig,
                    fusion_cfg: fusion.FusionConfig):
-    """Per-frame feature stacks for every video, computed once and cached."""
+    """Per-frame feature stacks for every video, computed once and cached:
+    one float32 (frames, channels, size, size) array per video, filled in
+    place."""
+    size = model_cfg.input_size
     stacks = []
     for frames in videos:
-        stacks.append(np.stack([
-            model.preprocess_frame(f, model_cfg, fusion_cfg) for f in frames]))
+        stack = np.empty((len(frames), model_cfg.input_channels, size, size), np.float32)
+        for i, frame in enumerate(frames):
+            stack[i] = model.preprocess_frame(frame, model_cfg, fusion_cfg)
+        stacks.append(stack)
     return stacks
 
 

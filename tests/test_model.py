@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from lusk.model import (ModelConfig, cbam, cell_to_pixel, check_config_match,
                         check_params, encode, infer_keypoints, init_params, keynet,
                         load_model, read_checkpoint, render_heatmaps, reconstruct,
                         refine, save_model, transport)
-from lusk.tensor import (CheckpointError, ShapeError, Tensor, conv2d, load_tensors,
+from lusk.tensor import (CheckpointError, ShapeError, Tensor, conv2d, load_tensors, mse,
                          save_tensors, upsample_conv2d)
 
 
@@ -211,6 +212,47 @@ class TestRefine:
         phi = Tensor(np.ones((1, cfg.feature_channels, 16, 16), np.float32))
         refine(phi, init_params(cfg, np.random.default_rng(0)), cfg)
         assert calls == [(16, 16), (32, 32)]
+
+
+class TestReconstructGraph:
+    """The source branch is held constant, so it builds no graph, and
+    backward frees the target graph as it runs."""
+
+    def test_only_the_target_encoding_has_parents(self, monkeypatch):
+        outputs = []
+
+        def recorded(*args):
+            outputs.append(encode(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "encode", recorded)
+        cfg = small_cfg()
+        params = init_params(cfg, np.random.default_rng(0))
+        reconstruct(rand_stack(cfg, 0), rand_stack(cfg, 1), params, cfg)
+        source, target = outputs
+        assert source._parents == () and not source.requires_grad
+        assert target._parents and target.requires_grad
+
+    def test_step_peak_stays_under_32_stacks(self):
+        # at input 32, k=3, batch 8 one warm step peaked at 41x the bytes of
+        # the source batch while the source graph and every saved array
+        # lived until backward returned; now at 27x
+        cfg = ModelConfig(input_size=32, k=3).validate()
+        params = init_params(cfg, np.random.default_rng(0))
+        src, tgt = rand_stack(cfg, 0, n=8), rand_stack(cfg, 1, n=8)
+
+        def step():
+            mse(reconstruct(src, tgt, params, cfg), tgt).backward()
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(p.grad is not None for p in params.values())
+        assert peak < 32 * src.data.nbytes, peak / src.data.nbytes
 
 
 def test_heatmaps_rendered_only_for_transport(monkeypatch):
@@ -431,6 +473,12 @@ class TestConfigValidation:
     def test_indivisible_size(self):
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(input_size=65).validate()
+
+    @pytest.mark.parametrize("field,value", [("input_size", 0), ("input_size", -4),
+                                             ("base_channels", 0), ("base_channels", -1)])
+    def test_empty_network_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ModelConfig(**{field: value}).validate()
 
     def test_determinism_of_init(self):
         cfg = small_cfg()

@@ -296,6 +296,33 @@ class TestBackward:
         loss2.backward()
         assert np.array_equal(x.grad, g1)
 
+    def test_held_interior_node_released_with_its_grad(self):
+        x = t([1.0, 2.0])
+        y = x * x
+        y.sum().backward()
+        assert y._parents is None and y._backward is None
+        assert np.array_equal(y.grad, [1.0, 1.0])
+        assert x._parents == () and np.array_equal(x.grad, [2.0, 4.0])
+
+    def test_second_backward_of_a_loss_raises(self):
+        x = t([1.0, 2.0])
+        loss = (x * x).sum()
+        loss.backward()
+        x.grad[:] = 7.0
+        with pytest.raises(ValueError, match="released"):
+            loss.backward()
+        assert np.array_equal(x.grad, [7.0, 7.0])  # no gradient was touched
+
+    def test_new_loss_on_a_released_node_raises(self):
+        # the new graph reaches x only through y, whose link an earlier
+        # backward dropped; x.grad would keep that backward's values
+        x, p = t([1.0, 2.0]), t([3.0, 4.0])
+        y = x * x
+        y.sum().backward()
+        with pytest.raises(ValueError, match="released"):
+            (y * p).sum().backward()
+        assert p.grad is None and np.array_equal(x.grad, [2.0, 4.0])
+
     def test_stop_gradient_blocks(self):
         x = t([1.0, 2.0])
         (stop_gradient(x) * x).sum().backward()

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from lusk import fusion
 from lusk.fusion import FusionConfig
-from lusk.model import ModelConfig, load_model
+from lusk.model import ModelConfig, load_model, preprocess_frame
 from lusk.synth import SceneSpec, generate
 from lusk.train import (PairSamplingError, TrainConfig, compute_stacks, lr_at,
                         pretrain_encoder, sample_pairs, train, write_loss_csv)
@@ -110,6 +111,30 @@ class TestSamplePairs:
     def test_single_frame_video_rejected(self, small_video):
         with pytest.raises(ValueError, match="fewer than 2"):
             sample_pairs([small_video[:1]], tiny_train_cfg(), 5, np.random.default_rng(0))
+
+
+class TestComputeStacks:
+    def test_equals_the_stacked_frames(self, small_video):
+        mcfg, fcfg = tiny_model_cfg(), FusionConfig()
+        stacks = compute_stacks([small_video, small_video[:3]], mcfg, fcfg)
+        for got, frames in zip(stacks, (small_video, small_video[:3])):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, np.stack([preprocess_frame(f, mcfg, fcfg)
+                                                 for f in frames]))
+
+    def test_peak_stays_near_the_output(self):
+        # a list of per-frame stacks joined by np.stack peaked at twice the
+        # output bytes; filling one preallocated array peaks at 1.11x here
+        video, _ = generate(SceneSpec(frames=40, size=64, seed=0))
+        mcfg, fcfg = ModelConfig(input_size=64, k=3, base_channels=8), FusionConfig()
+        compute_stacks([video[:1]], mcfg, fcfg)  # fill the fusion caches first
+        tracemalloc.start()
+        try:
+            (stack,) = compute_stacks([video], mcfg, fcfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * stack.nbytes, peak / stack.nbytes
 
 
 class TestPretrain:
