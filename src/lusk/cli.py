@@ -136,7 +136,7 @@ def read_keypoints_csv(path) -> np.ndarray:
         for lineno, line in enumerate(f, 2):
             try:
                 t, slot, r, c = line.strip().split(",")
-                t, slot, rc = int(t), int(slot), (float(r), float(c))
+                t, slot, rc = int(t), int(slot), (synth.finite_float(r), synth.finite_float(c))
             except ValueError:
                 raise DatasetError(
                     f"{path}:{lineno}: malformed line {line.strip()!r}") from None

@@ -7,13 +7,12 @@ wins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, is_dataclass
 from typing import get_type_hints
 
 from .fusion import FusionConfig
 from .model import ModelConfig
-from .synth import BLineSpec, SceneSpec
+from .synth import BLineSpec, SceneSpec, finite_float
 from .train import TrainConfig
 
 
@@ -58,15 +57,8 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"not a boolean: {v!r}")
 
 
-def _parse_float(v: str) -> float:
-    x = float(v)
-    if not math.isfinite(x):
-        raise ValueError(f"not a finite number: {v!r}")
-    return x
-
-
 def _parse_lambdas(v: str):
-    return tuple(_parse_float(x) for x in v.split(","))
+    return tuple(finite_float(x) for x in v.split(","))
 
 
 def _parse_b_lines(v: str):
@@ -74,14 +66,14 @@ def _parse_b_lines(v: str):
         return ()
     specs = []
     for part in v.split(";"):
-        vals = [_parse_float(x) for x in part.split(":")]
+        vals = [finite_float(x) for x in part.split(":")]
         if len(vals) != 4:
             raise ValueError(f"b_line entry needs col:drift:width:brightness, got {part!r}")
         specs.append(BLineSpec(*vals))
     return tuple(specs)
 
 
-_PARSERS = {int: int, float: _parse_float, str: str, bool: _parse_bool}
+_PARSERS = {int: int, float: finite_float, str: str, bool: _parse_bool}
 # tuple fields each have their own parser
 _FIELD_PARSERS = {"lambdas": _parse_lambdas, "b_lines": _parse_b_lines}
 

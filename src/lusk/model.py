@@ -91,17 +91,8 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
         _cbam_params(rng, params, "encoder.cbam1", c1)
         _cbam_params(rng, params, "encoder.cbam2", c2)
     _conv_param(rng, params, "keynet.head", cfg.k, c2, 1)
-    return init_refine_params(cfg, rng, params)
-
-
-def init_refine_params(cfg: ModelConfig, rng: np.random.Generator,
-                       params: dict[str, Tensor] | None = None,
-                       prefix: str = "refine") -> dict[str, Tensor]:
-    """Add the two decoder convolutions read by refine() under `prefix`."""
-    c1, c2 = cfg.base_channels, cfg.feature_channels
-    params = {} if params is None else params
-    _conv_param(rng, params, f"{prefix}.conv1", c1, c2, 3)
-    _conv_param(rng, params, f"{prefix}.conv2", cfg.input_channels, c1, 3)
+    _conv_param(rng, params, "refine.conv1", c1, c2, 3)
+    _conv_param(rng, params, "refine.conv2", cfg.input_channels, c1, 3)
     return params
 
 
@@ -190,18 +181,17 @@ def transport(phi_s: Tensor, phi_t: Tensor, h_s: Tensor, h_t: Tensor) -> Tensor:
     return (1.0 - h_s) * (1.0 - h_t) * phi_s + h_t * phi_t
 
 
-def refine(phi: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
-           prefix: str = "refine") -> Tensor:
+def refine(phi: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     """Decoder: two nearest-2x upsample + 3x3 conv stages back to input
     resolution (each one upsample_conv2d, which builds no upsampled
     intermediate), instance norm and ReLU between them, sigmoid output in
-    [0, 1] with exactly input_channels channels. Pretraining runs the same
-    decoder on its own parameters under another prefix."""
+    [0, 1] with exactly input_channels channels. Encoder pretraining trains
+    it too, then discards it."""
     if phi.ndim != 4 or phi.shape[1] != cfg.feature_channels:
         raise ShapeError("refine", phi.shape, (-1, cfg.feature_channels, -1, -1))
-    h = upsample_conv2d(phi, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
+    h = upsample_conv2d(phi, params["refine.conv1.w"], params["refine.conv1.b"])
     h = instance_norm(h).relu()
-    h = upsample_conv2d(h, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])
+    h = upsample_conv2d(h, params["refine.conv2.w"], params["refine.conv2.b"])
     return h.sigmoid()
 
 

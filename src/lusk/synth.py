@@ -8,6 +8,7 @@ clinical data during training and quantitative evaluation.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -48,9 +49,20 @@ class SceneSpec:
             raise ValueError(f"invalid scene extent: frames={self.frames}, size={self.size}")
         if not 0.15 < self.pleura_depth < 0.4:
             raise ValueError(f"pleura_depth must be in (0.15, 0.4), got {self.pleura_depth}")
-        if self.pleura_depth + self.amplitude >= 0.5:
-            raise ValueError(
-                f"pleura must stay in the upper half: p0={self.pleura_depth}, A={self.amplitude}")
+        swing = abs(self.amplitude)
+        if self.pleura_depth - swing < 0 or self.pleura_depth + swing >= 0.5:
+            raise ValueError(f"pleura must stay in the upper half: "
+                             f"pleura_depth={self.pleura_depth}, amplitude={self.amplitude}")
+        for name, width in (("pleura_thickness", self.pleura_thickness),
+                            *(("b_lines width", bl.width) for bl in self.b_lines)):
+            if not width > 0:
+                raise ValueError(f"{name} must be > 0, got {width}")
+        for bl in self.b_lines:
+            if not 0.0 <= bl.column <= 1.0:
+                raise ValueError(f"b_lines column must be in [0, 1], got {bl.column}")
+        for name in ("a_line_count", "a_line_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for b in (self.pleura_brightness, *(bl.brightness for bl in self.b_lines)):
             if not 0.0 <= b <= 1.0:
                 raise ValueError(f"brightness out of [0,1]: {b}")
@@ -147,6 +159,14 @@ def load_frames(directory) -> np.ndarray:
     return np.stack(frames)
 
 
+def finite_float(text: str) -> float:
+    """float(text); nan and inf raise ValueError."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
+
+
 def load_truth(path) -> GroundTruth:
     truth = GroundTruth()
     with open(path, encoding="utf-8") as f:
@@ -157,9 +177,9 @@ def load_truth(path) -> GroundTruth:
             try:
                 a_at = fields.index("A")
                 b_at = fields.index("B")
-                truth.pleura_rows.append(float(fields[0]))
-                truth.a_line_rows.append([float(x) for x in fields[a_at + 1:b_at]])
-                truth.b_line_cols.append([float(x) for x in fields[b_at + 1:]])
+                truth.pleura_rows.append(finite_float(fields[0]))
+                truth.a_line_rows.append([finite_float(x) for x in fields[a_at + 1:b_at]])
+                truth.b_line_cols.append([finite_float(x) for x in fields[b_at + 1:]])
             except (ValueError, IndexError) as exc:
                 raise DatasetError(f"{path}:{lineno}: malformed truth line") from exc
     return truth

@@ -284,9 +284,9 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # -- convolution and friends -----------------------------------------------------
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation), NCHW layout, zero padding.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D convolution (cross-correlation) plus bias, NCHW layout, zero padding;
+    odd kernels at stride 1 or 2, so every input pixel lies in the buffer.
 
     Shift-and-accumulate GEMM without an im2col buffer: kernel tap (i, j) is
     one GEMM on a column slice of stride phase (i % s, j % s) of the padded
@@ -296,12 +296,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         raise ShapeError("conv2d", x.shape, w.shape)
     (n, c, h, wd), (o, _, kh, kw), s, p = x.shape, w.shape, stride, padding
     hp, wp = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
-    if min(hp, wp) < 1 or (b is not None and b.shape != (o,)):
-        raise ShapeError("conv2d", *(t.shape for t in (x, w, b) if t is not None))
-    hq, wq = hp + (kh - 1) // s, wp + (kw - 1) // s
-    rows, cols = min(h, hq * s - p), min(wd, wq * s - p)  # the input pixels taps read
+    if min(hp, wp) < 1 or b.shape != (o,) or s not in (1, 2) or not kh % 2 == kw % 2 == 1:
+        raise ShapeError(f"conv2d (stride {s})", x.shape, w.shape, b.shape)
+    hq, wq = hp + (kh - 1) // s, wp + (kw - 1) // s  # hq * s >= h + 2p, likewise wq
     xp = np.zeros((c, n, hq * s, wq * s), x.dtype)
-    xp[:, :, p:p + rows, p:p + cols] = x.data[:, :, :rows, :cols].swapaxes(0, 1)
+    xp[:, :, p:p + h, p:p + wd] = x.data.swapaxes(0, 1)
     ph = xp.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s, s, c, -1)
     m = n * hq * wq - (kh - 1) // s * wq - (kw - 1) // s  # one past the last valid output
     taps = [(i % s, j % s, slice(None), slice(i // s * wq + j // s, None))
@@ -313,8 +312,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     # out[:, (image * hq + row) * wq + col]: copy out the valid (hp, wp) corners as NCHW
     out_data = as_strided(out, (n, o, hp, wp), [out.itemsize * k for k in (hq * wq, m, wq, 1)],
                           writeable=False).copy()
-    if b is not None:
-        out_data += b.data.reshape(1, o, 1, 1)
+    out_data += b.data.reshape(1, o, 1, 1)
 
     def backward(g):
         go = np.pad(g.swapaxes(0, 1), ((0, 0), (0, 0), (0, hq - hp), (0, wq - wp)))
@@ -326,12 +324,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             for wij, tap in zip(wt, taps):
                 gph[tap][:, :m] += wij.T @ go
             gx = gph.reshape(s, s, c, n, hq, wq).transpose(3, 2, 4, 0, 5, 1)
-            gx = gx.reshape(n, c, hq * s, wq * s)[:, :, p:p + rows, p:p + cols]
-            x._accumulate(np.pad(gx, ((0, 0), (0, 0), (0, h - rows), (0, wd - cols))))
-        if b is not None:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
+            x._accumulate(gx.reshape(n, c, hq * s, wq * s)[:, :, p:p + h, p:p + wd])
+        b._accumulate(g.sum(axis=(0, 2, 3)))
 
-    return _op(out_data, (x, w) if b is None else (x, w, b), backward)
+    return _op(out_data, (x, w, b), backward)
 
 
 def _upsample_shifts():

@@ -153,7 +153,7 @@ def _epochs(opt: Adam, n: int, batch_loss, cfg: TrainConfig,
 
 def pretrain_encoder(stacks: np.ndarray, model_cfg: model.ModelConfig,
                      cfg: TrainConfig) -> tuple[dict[str, Tensor], list]:
-    """Train encoder + throwaway mirror decoder on stack reconstruction.
+    """Train the encoder and the model's refine decoder on stack reconstruction.
 
     Returns (encoder parameters only, per-epoch losses); the decoder is
     discarded.
@@ -163,15 +163,14 @@ def pretrain_encoder(stacks: np.ndarray, model_cfg: model.ModelConfig,
     if stacks.ndim != 4 or stacks.shape[0] < 1:
         raise ValueError(f"expected (N, C, H, W) stacks, got {stacks.shape}")
     rng = np.random.default_rng(cfg.seed)
-    params = model.init_params(model_cfg, rng)
+    params = {name: p for name, p in model.init_params(model_cfg, rng).items()
+              if name.startswith(("encoder.", "refine."))}
     enc_params = {k: v for k, v in params.items() if k.startswith("encoder.")}
-    dec_params = model.init_refine_params(model_cfg, rng, prefix="decoder")
-    opt = Adam({**enc_params, **dec_params}, lr=cfg.lr0)
+    opt = Adam(params, lr=cfg.lr0)
 
     def batch_loss(idx):
         batch = Tensor(stacks[idx])
-        recon = model.refine(model.encode(batch, params, model_cfg),
-                             dec_params, model_cfg, prefix="decoder")
+        recon = model.refine(model.encode(batch, params, model_cfg), params, model_cfg)
         return mse(recon, batch)
 
     epochs = _epochs(opt, stacks.shape[0], batch_loss, cfg, rng, cfg.pretrain_epochs)

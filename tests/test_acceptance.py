@@ -44,7 +44,8 @@ _OPS = [
     ("mean", lambda a: (a * a).mean(axis=(0, 1)), [(4, 4)]),
     ("max", lambda a: a.max(axis=1).sum(), [(4, 6)]),
     ("concat", lambda a, b: _square(concat([a, b], axis=1)).sum(), [(2, 3), (2, 2)]),
-    ("conv2d", lambda x, w: _square(conv2d(x, w, stride=2, padding=1)).sum(),
+    ("conv2d", lambda x, w: _square(conv2d(x, w, Tensor(np.zeros(3)), stride=2,
+                                          padding=1)).sum(),
      [(1, 2, 6, 6), (3, 2, 3, 3)]),
     ("upsample", lambda a: _square(upsample_nearest2x(a)).sum(), [(1, 2, 3, 3)]),
     ("upsample_conv2d", lambda x, w, b: _square(upsample_conv2d(x, w, b)).sum(),

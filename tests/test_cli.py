@@ -206,6 +206,34 @@ class TestExitCodes:
         assert main(["synth", "--set", "pleura_depth=0.9",
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("settings", [
+        ["amplitude=-0.3"], ["pleura_depth=0.16", "amplitude=0.33"],
+        ["pleura_depth=0.39", "amplitude=-0.2"], ["pleura_thickness=0"],
+        ["pleura_thickness=-1.5"], ["b_lines=0.7:0.15:2:0.8;0.5:0.1:0:0.8"],
+        ["b_lines=1.5:0.1:2:0.8"], ["a_line_count=-1"], ["a_line_decay=-0.5"]], ids=",".join)
+    def test_scene_out_of_bounds_writes_nothing(self, settings, tmp_path, capsys):
+        sets = [a for s in settings for a in ("--set", s)]
+        assert main(["synth", *sets, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert settings[-1].partition("=")[0] in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_truth_is_data_error(self, value, dataset, tmp_path, capsys):
+        truth = tmp_path / "truth"
+        shutil.copytree(dataset, truth)
+        lines = (truth / "truth.txt").read_text().splitlines()
+        lines[3] = f"{value} " + lines[3].partition(" ")[2]
+        (truth / "truth.txt").write_text("\n".join(lines) + "\n")
+        pred = _write_pred(tmp_path / "pred", GOOD_CSV)
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth),
+                     "--out", str(tmp_path / "report.txt")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert f"{truth / 'truth.txt'}:4" in err
+
     def test_missing_data_is_data_error(self, tmp_path):
         assert main(["train", *TINY, "--data", str(tmp_path / "missing"),
                      "--out", str(tmp_path / "m.lusk")]) == 3
@@ -571,6 +599,8 @@ BAD_CSVS = {
     "repeated_slot": GOOD_CSV + ["2,0,1.0,1.0\n"],
     "malformed_line": GOOD_CSV[:5] + ["1,2,3.0\n"] + GOOD_CSV[5:],
     "renumbered_frame": GOOD_CSV[:27] + ["12" + line[1:] for line in GOOD_CSV[27:]],
+    "nan_row": ["0,0,nan,3\n"] + GOOD_CSV[1:],
+    "inf_col": GOOD_CSV[:3] + ["1,0,15,inf\n"] + GOOD_CSV[4:],
 }
 
 
@@ -589,7 +619,7 @@ class TestKeypointsCsv:
     @pytest.mark.parametrize("case", sorted(BAD_CSVS))
     def test_bad_csv_is_data_error(self, case, dataset, tmp_path, capsys):
         pred = _write_pred(tmp_path / "pred", BAD_CSVS[case])
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match="keypoints.csv"):
             read_keypoints_csv(pred / "keypoints.csv")
         assert main(["eval", "--pred", str(pred), "--truth", str(dataset),
                      "--out", str(tmp_path / "report.txt")]) == 3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lusk.pgm import write_pgm
 from lusk.synth import (BLineSpec, DatasetError, GroundTruth, SceneSpec,
@@ -65,6 +67,25 @@ class TestGenerate:
         with pytest.raises(ValueError, match="brightness"):
             generate(SceneSpec(b_lines=(BLineSpec(brightness=1.5),)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(frames=st.integers(1, 6), size=st.integers(8, 40),
+           depth=st.floats(0.15, 0.4, exclude_min=True, exclude_max=True),
+           amplitude=st.floats(-0.5, 0.5), frequency=st.floats(-1e3, 1e3),
+           columns=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1e300, 1e300)),
+                            max_size=3))
+    def test_valid_scene_truth_stays_in_frame(self, frames, size, depth, amplitude,
+                                              frequency, columns):
+        spec = SceneSpec(frames=frames, size=size, pleura_depth=depth, amplitude=amplitude,
+                         frequency=frequency, speckle_strength=0.0,
+                         b_lines=tuple(BLineSpec(column=c, drift=d) for c, d in columns))
+        try:
+            spec.validate()
+        except ValueError:
+            return
+        _, truth = generate(spec)
+        assert all(0.0 <= row < (size - 1) / 2 for row in truth.pleura_rows)
+        assert all(0.0 <= col <= size - 1 for cols in truth.b_line_cols for col in cols)
+
 
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
@@ -118,4 +139,12 @@ class TestDatasetIo:
         path = tmp_path / "truth.txt"
         path.write_text("12.5 A 25.0 garbage\n")
         with pytest.raises(DatasetError, match="truth.txt:1"):
+            load_truth(path)
+
+    @pytest.mark.parametrize("line", ["nan A 25.0 B 40.0", "12.5 A inf B 40.0",
+                                      "12.5 A 25.0 B -inf"])
+    def test_non_finite_truth_value_is_malformed(self, line, tmp_path):
+        path = tmp_path / "truth.txt"
+        path.write_text(f"12.5 A 25.0 B 40.0\n{line}\n")
+        with pytest.raises(DatasetError, match="truth.txt:2: malformed"):
             load_truth(path)

@@ -19,6 +19,11 @@ def _square(y):
     return y * y
 
 
+def _zero_bias(w):
+    """A zero bias for w's output channels, requiring no gradient."""
+    return Tensor(np.zeros(w.shape[0], w.dtype))
+
+
 class TestForwardOps:
     def test_relu(self):
         assert np.array_equal(t([-1.0, 0.0, 2.0]).relu().data, [0.0, 0.0, 2.0])
@@ -26,12 +31,12 @@ class TestForwardOps:
     def test_identity_1x1_conv(self):
         x = t(np.random.default_rng(0).random((1, 3, 5, 5)))
         w = Tensor(np.eye(3).reshape(3, 3, 1, 1))
-        assert np.allclose(conv2d(x, w).data, x.data)
+        assert np.allclose(conv2d(x, w, _zero_bias(w)).data, x.data)
 
     def test_conv_all_ones_center(self):
         x = Tensor(np.ones((1, 1, 5, 5)))
         w = Tensor(np.ones((1, 1, 3, 3)))
-        out = conv2d(x, w, padding=1)
+        out = conv2d(x, w, _zero_bias(w), padding=1)
         # direct sliding-window count of covered pixels at the center
         assert out.data[0, 0, 2, 2] == 9.0
         assert out.data[0, 0, 0, 0] == 4.0
@@ -41,13 +46,20 @@ class TestForwardOps:
         x = rng.random((2, 3, 8, 8))
         w = rng.random((4, 3, 3, 3))
         for stride in (1, 2):
-            got = conv2d(Tensor(x), Tensor(w), stride=stride, padding=1).data
+            got = conv2d(Tensor(x), Tensor(w), _zero_bias(w), stride=stride, padding=1).data
             ref = _conv_oracle(x, w, stride, 1)
             assert np.abs(got - ref).max() < 1e-10
 
     def test_conv_channel_mismatch(self):
         with pytest.raises(ShapeError, match="conv2d"):
-            conv2d(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((4, 2, 3, 3))))
+            conv2d(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((4, 2, 3, 3))),
+                   Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 3)])
+    def test_conv_geometry_outside_odd_kernel_stride_1_or_2(self, kernel, stride):
+        w = Tensor(np.zeros((4, 3, kernel, kernel)))
+        with pytest.raises(ShapeError, match="conv2d"):
+            conv2d(Tensor(np.zeros((1, 3, 8, 8))), w, _zero_bias(w), stride=stride, padding=1)
 
     def test_add_shape_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match=r"add.*\(2, 3\).*\(4, 5\)"):
@@ -94,8 +106,8 @@ class TestForwardOps:
     def test_forward_deterministic(self):
         x = np.random.default_rng(5).random((1, 2, 8, 8))
         w = np.random.default_rng(6).random((3, 2, 3, 3))
-        a = conv2d(Tensor(x), Tensor(w), padding=1).data
-        b = conv2d(Tensor(x), Tensor(w), padding=1).data
+        a = conv2d(Tensor(x), Tensor(w), _zero_bias(w), padding=1).data
+        b = conv2d(Tensor(x), Tensor(w), _zero_bias(w), padding=1).data
         assert np.array_equal(a, b)
 
 
@@ -160,7 +172,7 @@ class TestConvOracleGrid:
         rng = np.random.default_rng(0)
         x = t(rng.standard_normal((2, 3, 7, 9)), grad=False)
         w = t(rng.standard_normal((4, 3, 3, 3)))
-        out = conv2d(x, w, stride=2, padding=1)
+        out = conv2d(x, w, _zero_bias(w), stride=2, padding=1)
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
         assert x.grad is None
@@ -246,7 +258,7 @@ class TestConvMemory:
                    requires_grad=True)
         tracemalloc.start()
         try:
-            out = conv2d(x, w, padding=1)
+            out = conv2d(x, w, _zero_bias(w), padding=1)
             out.sum().backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -339,7 +351,7 @@ class TestBackward:
     def test_conv_weight_grad_finite_difference(self):
         target = Tensor(np.zeros((1, 2, 4, 4)))
         rep = gradcheck(
-            lambda x, w: mse(conv2d(x, w, stride=2, padding=1), target),
+            lambda x, w: mse(conv2d(x, w, _zero_bias(w), stride=2, padding=1), target),
             [(1, 3, 8, 8), (2, 3, 3, 3)], eps=1e-5, tolerance=1e-4)
         assert rep.passed, rep
 

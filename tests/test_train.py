@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lusk import fusion
+from lusk import fusion, model
+from lusk import train as training
 from lusk.fusion import FusionConfig
 from lusk.model import ModelConfig, load_model, preprocess_frame
 from lusk.synth import SceneSpec, generate
@@ -153,6 +154,41 @@ class TestPretrain:
         params, _ = pretrain_encoder(stacks, mcfg, tcfg)
         assert params
         assert all(name.startswith("encoder.") for name in params)
+
+    def test_trains_the_models_refine_decoder(self, small_video, monkeypatch):
+        # one decoder: refine reads, and Adam updates, the refine.* tensors of init_params
+        built, decoded, optimized = [], [], []
+        init_params, refine, adam = model.init_params, model.refine, training.Adam
+
+        def spy_init(cfg, rng):
+            built.append(init_params(cfg, rng))
+            return built[-1]
+
+        def spy_refine(phi, params, cfg):
+            decoded.append({n: p for n, p in params.items() if n.startswith("refine.")})
+            return refine(phi, params, cfg)
+
+        def spy_adam(params, lr):
+            optimized.append(params)
+            return adam(params, lr)
+
+        monkeypatch.setattr(model, "init_params", spy_init)
+        monkeypatch.setattr(model, "refine", spy_refine)
+        monkeypatch.setattr(training, "Adam", spy_adam)
+        stacks = compute_stacks([small_video[:4]], tiny_model_cfg(), FusionConfig())[0]
+        params, _ = pretrain_encoder(stacks, tiny_model_cfg(), tiny_train_cfg())
+        (full,) = built
+        (opt_params,) = optimized
+
+        def part(*prefixes):
+            return {n: p for n, p in full.items() if n.startswith(prefixes)}
+
+        def same(a, b):
+            return a.keys() == b.keys() and all(a[n] is b[n] for n in a)
+
+        assert decoded and all(same(d, part("refine.")) for d in decoded)
+        assert same(opt_params, part("encoder.", "refine."))
+        assert same(params, part("encoder."))
 
     def test_bad_stack_shape_rejected(self):
         with pytest.raises(ValueError, match="N, C, H, W"):
