@@ -22,6 +22,13 @@ from scipy.signal import fftconvolve
 DEFAULT_LAMBDAS = tuple(float(x) for x in range(3, 31, 3))
 
 
+def as_float(name: str, value) -> float:
+    """value as a float; a bool or a value that is no real number raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class FusionConfig:
     sigma0: float = 0.55
@@ -34,9 +41,11 @@ class FusionConfig:
     energy_denominator_mode = "sqrt_energy"
 
     def validate(self):
+        for name in ("sigma0", "thresh", "epsilon", "attenuation_a"):
+            setattr(self, name, as_float(name, getattr(self, name)))
+        lam = self.lambdas = tuple(as_float("lambdas", x) for x in self.lambdas)
         if not 0.0 < self.sigma0 < 1.0:
             raise ValueError(f"sigma0 must be in (0,1), got {self.sigma0}")
-        lam = tuple(self.lambdas)
         if any(l2 <= l1 for l1, l2 in zip(lam, lam[1:])):
             raise ValueError(f"lambdas must be strictly increasing, got {lam}")
         if any(l <= 2.0 for l in lam):
@@ -113,52 +122,43 @@ def log_gabor_gain(omega: np.ndarray, lambda0: float, sigma0: float) -> np.ndarr
 
 
 @functools.lru_cache(maxsize=32)
-def _multipliers(shape: tuple, lambda0: float, sigma0: float):
-    """Read-only frequency multipliers of monogenic() for one frame shape
-    and wavelength: the log-Gabor gain G and the packed Riesz multiplier
-    G*(i*w_r - w_c)/|w|, whose inverse transform is m2 + i*m3.
-
-    On an even size the Nyquist row of the w_r term and the Nyquist column
-    of the w_c term are zero: there the term is not Hermitian, so its
-    inverse transform is purely imaginary, which the real part of one
-    component drops but the packed pair would add into the other.
-    """
+def _multipliers(shape: tuple, lambda0: float, sigma0: float) -> np.ndarray:
+    """Read-only half-plane bank of monogenic() for one frame shape and
+    wavelength, complex (3, rows, cols//2 + 1): the log-Gabor gain G and the
+    Riesz multipliers G*i*w_r/|w| and G*i*w_c/|w|. On an even size the
+    Nyquist row of the w_r plane and the Nyquist column of the w_c plane are
+    zero: there the multiplier is not Hermitian, so with a real frame its
+    inverse has a purely imaginary part, which the real component drops."""
     rows, cols = shape
-    uu, vv, mag = _frequency_grids(rows, cols)
+    uu, vv, mag = (grid[:, :cols // 2 + 1] for grid in _frequency_grids(rows, cols))
     gain = log_gabor_gain(mag, lambda0, sigma0)
     safe = np.where(mag > 0, mag, 1.0)
-    riesz = np.empty(shape, dtype=np.complex128)
-    riesz.real = -gain * vv / safe
-    riesz.imag = gain * uu / safe
+    bank = np.stack([gain, 1j * (gain * uu / safe), 1j * (gain * vv / safe)])
     if rows % 2 == 0:
-        riesz.imag[rows // 2, :] = 0.0
+        bank[1, rows // 2, :] = 0.0
     if cols % 2 == 0:
-        riesz.real[:, cols // 2] = 0.0
-    gain.flags.writeable = False
-    riesz.flags.writeable = False
-    return gain, riesz
+        bank[2, :, cols // 2] = 0.0
+    bank.flags.writeable = False
+    return bank
 
 
-def monogenic(frame: np.ndarray, lambda0: float, sigma0: float) -> MonogenicTriple:
-    """Monogenic signal of a frame at one wavelength.
-
-    m1 is the log-Gabor bandpass; m2/m3 are the Riesz components along
-    rows/columns, computed with the frequency multipliers i*w_r/|w| and
-    i*w_c/|w| (zero at DC). Both come from one inverse transform: the
-    real frame makes each component's inverse real, so m2 + i*m3 is the
-    inverse of the spectrum times G*(i*w_r - w_c)/|w|.
-    """
-    gain, riesz = _multipliers(frame.shape, lambda0, sigma0)
-    spectrum = fft.fft2(frame)
-    m1 = fft.ifft2(spectrum * gain).real
-    pair = fft.ifft2(spectrum * riesz)
-    return MonogenicTriple(m1=m1, m2=pair.real, m3=pair.imag)
+def monogenic(spectrum: np.ndarray, shape: tuple, lambda0: float,
+              sigma0: float) -> MonogenicTriple:
+    """Monogenic signal at one wavelength of a frame of the given shape, from
+    its half spectrum rfft2(frame): m1 is the log-Gabor bandpass, m2/m3 the
+    Riesz components along rows/columns (multipliers i*w_r/|w| and i*w_c/|w|,
+    zero at DC), all three from one half-size inverse transform."""
+    return MonogenicTriple(*fft.irfft2(spectrum * _multipliers(shape, lambda0, sigma0), s=shape))
 
 
 def local_phase_raw(m: MonogenicTriple, epsilon: float) -> np.ndarray:
     """1 - atan(odd / (even + eps)): maximal (= 1) at even, line-like
     structure, falling toward 1 - pi/2 where odd energy dominates."""
-    return 1.0 - np.arctan(m.odd / (np.abs(m.m1) + epsilon))
+    out = np.abs(m.m1)
+    out += epsilon
+    np.divide(m.odd, out, out=out)
+    np.arctan(out, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def local_phase(m: MonogenicTriple, epsilon: float) -> np.ndarray:
@@ -175,9 +175,15 @@ def phase_symmetry(m: MonogenicTriple, thresh: float, epsilon: float) -> np.ndar
     """
     if thresh < 0:
         raise ValueError(f"thresh must be >= 0, got {thresh}")
-    num = np.maximum(m.m1 - m.odd - thresh, 0.0)
-    den = np.sqrt(m.m1 ** 2 + m.odd ** 2) + epsilon
-    return minmax_normalize(num / den)
+    num = np.subtract(m.m1, m.odd)
+    num -= thresh
+    np.maximum(num, 0.0, out=num)
+    den = np.square(m.m1)
+    den += np.square(m.odd)
+    np.sqrt(den, out=den)
+    den += epsilon
+    num /= den
+    return minmax_normalize(num)
 
 
 def fuse(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:
@@ -185,12 +191,12 @@ def fuse(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:
     min-max normalized. Returns (len(lambdas), H, W) in [0, 1]."""
     cfg.validate()
     weight = 1.0 - ibs(frame)
+    spectrum = fft.rfft2(frame)
     out = np.empty((len(cfg.lambdas), *frame.shape), dtype=np.float32)
     for c, lam in enumerate(cfg.lambdas):
-        m = monogenic(frame, lam, cfg.sigma0)
-        lp = local_phase(m, cfg.epsilon)
-        fs = phase_symmetry(m, cfg.thresh, cfg.epsilon)
-        out[c] = minmax_normalize(lp * fs * weight)
+        m = monogenic(spectrum, frame.shape, lam, cfg.sigma0)
+        out[c] = minmax_normalize(local_phase(m, cfg.epsilon)
+                                  * phase_symmetry(m, cfg.thresh, cfg.epsilon) * weight)
     return out
 
 

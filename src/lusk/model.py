@@ -39,6 +39,7 @@ class ModelConfig:
     feature_stride = 4
 
     def validate(self):
+        self.heatmap_sigma = fusion.as_float("heatmap_sigma", self.heatmap_sigma)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.base_channels < 1:
@@ -255,7 +256,7 @@ def save_model(path, params: dict[str, Tensor], cfg: ModelConfig,
                fusion_cfg: fusion.FusionConfig | None = None):
     """Write params after a config record: a `field=repr(value)` line per
     field of cfg and fusion_cfg (default FusionConfig()), a float32 per byte."""
-    sections = (cfg, fusion_cfg or fusion.FusionConfig())
+    sections = (cfg.validate(), (fusion_cfg or fusion.FusionConfig()).validate())
     text = "".join(f"{f}={getattr(c, f)!r}\n" for c in sections for f in c.__dataclass_fields__)
     record = np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float32)
     save_tensors(path, {_CONFIG_RECORD: record, **params})

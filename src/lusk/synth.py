@@ -55,8 +55,9 @@ class SceneSpec:
                              f"pleura_depth={self.pleura_depth}, amplitude={self.amplitude}")
         for name, width in (("pleura_thickness", self.pleura_thickness),
                             *(("b_lines width", bl.width) for bl in self.b_lines)):
-            if not width > 0:
-                raise ValueError(f"{name} must be > 0, got {width}")
+            # at extreme widths _band's 2*sigma**2 underflows to 0 or overflows
+            if not 0.1 <= width <= self.size:
+                raise ValueError(f"{name} must be in [0.1, {self.size}] pixels, got {width}")
         for bl in self.b_lines:
             if not 0.0 <= bl.column <= 1.0:
                 raise ValueError(f"b_lines column must be in [0, 1], got {bl.column}")

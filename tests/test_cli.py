@@ -210,7 +210,9 @@ class TestExitCodes:
         ["amplitude=-0.3"], ["pleura_depth=0.16", "amplitude=0.33"],
         ["pleura_depth=0.39", "amplitude=-0.2"], ["pleura_thickness=0"],
         ["pleura_thickness=-1.5"], ["b_lines=0.7:0.15:2:0.8;0.5:0.1:0:0.8"],
-        ["b_lines=1.5:0.1:2:0.8"], ["a_line_count=-1"], ["a_line_decay=-0.5"]], ids=",".join)
+        ["b_lines=1.5:0.1:2:0.8"], ["a_line_count=-1"], ["a_line_decay=-0.5"],
+        ["pleura_thickness=1e200"], ["pleura_thickness=1e-200"],
+        ["b_lines=0.7:0.15:0.05:0.8"], ["size=32", "b_lines=0.7:0.15:33:0.8"]], ids=",".join)
     def test_scene_out_of_bounds_writes_nothing(self, settings, tmp_path, capsys):
         sets = [a for s in settings for a in ("--set", s)]
         assert main(["synth", *sets, "--out", str(tmp_path / "x")]) == 2

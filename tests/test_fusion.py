@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +14,14 @@ from lusk.fusion import (FusionConfig, MonogenicTriple, fuse, ibs,
 from lusk.synth import SceneSpec, generate
 from oracles import fuse_composite, log_gabor_response, monogenic_direct
 
-# shapes where the Nyquist lines of the packed Riesz multiplier matter:
-# odd rows and columns, even rows with odd columns, odd rows with even columns
+# shapes where the Nyquist lines of the half-plane Riesz multipliers and
+# rfft2's last axis matter: odd rows and columns, even rows with odd
+# columns, odd rows with even columns
 ODD_EVEN_SHAPES = [(15, 15), (16, 17), (31, 48)]
+
+
+def monogenic_of(frame, lambda0, sigma0):
+    return monogenic(scipy.fft.rfft2(frame), frame.shape, lambda0, sigma0)
 
 
 def line_frame(size=32, row=10, background=0.05, brightness=1.0):
@@ -81,35 +87,37 @@ class TestLogGabor:
 
 class TestMonogenic:
     def test_constant_frame_near_zero(self):
-        m = monogenic(np.full((16, 16), 0.7), 6.0, 0.55)
+        m = monogenic_of(np.full((16, 16), 0.7), 6.0, 0.55)
         for comp in (m.m1, m.m2, m.m3):
             assert np.abs(comp).max() <= 1e-8
 
     def test_row_grating_has_no_column_component(self):
         r = np.arange(16)
         frame = np.cos(2 * np.pi * r / 8.0)[:, None] * np.ones((1, 16))
-        m = monogenic(frame, 8.0, 0.55)
+        m = monogenic_of(frame, 8.0, 0.55)
         assert np.abs(m.m3).max() <= 1e-8
 
     def test_fft_matches_direct_dft_oracle(self):
         rng = np.random.default_rng(11)
         for shape in [(16, 16)] * 3 + ODD_EVEN_SHAPES:
             frame = rng.random(shape)
-            a = monogenic(frame, 6.0, 0.55)
+            a = monogenic_of(frame, 6.0, 0.55)
             b = monogenic_direct(frame, 6.0, 0.55)
             assert np.abs(a.m1 - b.m1).max() < 1e-8
             assert np.abs(a.m2 - b.m2).max() < 1e-8
             assert np.abs(a.m3 - b.m3).max() < 1e-8
 
     def test_cached_multipliers_are_read_only(self):
-        for multiplier in fusion._multipliers((16, 16), 6.0, 0.55):
+        bank = fusion._multipliers((16, 16), 6.0, 0.55)
+        assert bank.shape == (3, 16, 9) and bank.dtype == np.complex128
+        for plane in bank:
             with pytest.raises(ValueError, match="read-only"):
-                multiplier[0, 0] = 1.0
+                plane[0, 0] = 1.0
 
     def test_transpose_swaps_riesz_components(self):
         frame = np.random.default_rng(12).random((16, 16))
-        m = monogenic(frame, 6.0, 0.55)
-        mt = monogenic(frame.T, 6.0, 0.55)
+        m = monogenic_of(frame, 6.0, 0.55)
+        mt = monogenic_of(frame.T, 6.0, 0.55)
         assert np.abs(mt.m2 - m.m3.T).max() <= 1e-8
         assert np.abs(mt.m3 - m.m2.T).max() <= 1e-8
 
@@ -133,17 +141,17 @@ class TestLocalPhase:
 
 class TestPhaseSymmetry:
     def test_constant_frame_is_zero(self):
-        m = monogenic(np.full((16, 16), 0.5), 6.0, 0.55)
+        m = monogenic_of(np.full((16, 16), 0.5), 6.0, 0.55)
         assert np.array_equal(phase_symmetry(m, 0.01, 1e-6), np.zeros((16, 16)))
 
     def test_bright_line_localization(self):
         f = line_frame(background=0.0)
-        m = monogenic(f, 8.0, 0.55)
+        m = monogenic_of(f, 8.0, 0.55)
         fs = phase_symmetry(m, 0.01, 1e-6)
         assert abs(int(np.argmax(fs.mean(axis=1))) - 10) <= 1
 
     def test_output_in_unit_range(self):
-        m = monogenic(np.random.default_rng(5).random((16, 16)), 6.0, 0.55)
+        m = monogenic_of(np.random.default_rng(5).random((16, 16)), 6.0, 0.55)
         fs = phase_symmetry(m, 0.01, 1e-6)
         assert fs.min() >= 0.0 and fs.max() <= 1.0
 
@@ -199,7 +207,7 @@ class TestFuse:
             prepared = fusion.prepare_frame(frame, 64, cfg.attenuation_a)
             stack = fuse(prepared, cfg)
             for channel, lam in zip(stack, cfg.lambdas):
-                m = monogenic(prepared, lam, cfg.sigma0)
+                m = monogenic_of(prepared, lam, cfg.sigma0)
                 want = minmax_normalize(local_phase(m, cfg.epsilon)
                                         * phase_symmetry(m, cfg.thresh, cfg.epsilon)
                                         * (1.0 - ibs(prepared)))
@@ -246,10 +254,26 @@ class TestFuse:
         assert below_tga < below_raw
 
 
-class TestFuseMemory:
-    def test_peak_below_six_stacks(self):
+class TestFuseStructure:
+    def test_one_forward_and_one_inverse_per_wavelength(self, monkeypatch):
+        calls = []
+
+        class CountingFft:
+            def __getattr__(self, name):
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return getattr(scipy.fft, name)(*args, **kwargs)
+                return counted
+
+        monkeypatch.setattr(fusion, "fft", CountingFft())
+        cfg = FusionConfig()
+        fuse(np.random.default_rng(8).random((64, 64)), cfg)
+        assert [n for n in calls if not n.startswith("i")] == ["rfft2"]
+        assert [n for n in calls if n.startswith("i")] == ["irfft2"] * len(cfg.lambdas)
+
+    def test_peak_holds_one_wavelength_at_a_time(self):
         # stream inference's peak allocation must stay the keypoint
-        # network's; an all-wavelengths-at-once fuse peaks near 28 stacks
+        # network's; fusing every wavelength at once peaks near 3 MiB
         frame = np.random.default_rng(8).random((64, 64))
         cfg = FusionConfig()
         stack = fuse(frame, cfg)
@@ -259,7 +283,7 @@ class TestFuseMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * stack.nbytes
+        assert peak < 1.5 * (stack.nbytes + 8 * frame.nbytes)
 
 
 class TestNormStack:

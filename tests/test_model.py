@@ -413,6 +413,18 @@ class TestCheckpoint:
         assert loaded.heatmap_sigma == 0.3 and loaded_fusion.sigma0 == 0.6
         assert loaded_fusion.attenuation_a == 0.2
 
+    @pytest.mark.parametrize("cfg,fusion_cfg", [
+        (ModelConfig(input_size=64, k=3, heatmap_sigma=2), FusionConfig()),
+        (ModelConfig(input_size=64, k=3), FusionConfig(lambdas=(3, 6, 9)))],
+        ids=["heatmap_sigma", "lambdas"])
+    def test_integer_float_settings_round_trip(self, cfg, fusion_cfg, tmp_path):
+        path = tmp_path / "model.lusk"
+        save_model(path, init_params(cfg, np.random.default_rng(0)), cfg, fusion_cfg)
+        _, loaded, loaded_fusion = read_checkpoint(path)
+        assert loaded == cfg and loaded_fusion == fusion_cfg
+        assert type(loaded.heatmap_sigma) is float
+        assert all(type(x) is float for x in loaded_fusion.lambdas)
+
     def test_fusion_config_defaults_when_not_given(self, tmp_path):
         path = tmp_path / "model.lusk"
         save_model(path, init_params(small_cfg(), np.random.default_rng(0)), small_cfg())
@@ -479,6 +491,13 @@ class TestConfigValidation:
     def test_empty_network_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             ModelConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("section,field,value", [
+        (ModelConfig, "heatmap_sigma", True), (FusionConfig, "thresh", False),
+        (FusionConfig, "sigma0", "0.5"), (FusionConfig, "lambdas", (3.0, True))])
+    def test_float_settings_reject_bools_and_text(self, section, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            section(**{field: value}).validate()
 
     def test_determinism_of_init(self):
         cfg = small_cfg()

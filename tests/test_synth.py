@@ -67,6 +67,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="brightness"):
             generate(SceneSpec(b_lines=(BLineSpec(brightness=1.5),)))
 
+    @pytest.mark.parametrize("width", [0.1, 16.0])
+    def test_band_widths_at_their_bounds_render(self, width):
+        spec = SceneSpec(frames=2, size=16, pleura_thickness=width,
+                         b_lines=(BLineSpec(width=width),))
+        video, _ = generate(spec)
+        assert np.isfinite(video).all() and video.max() > 0.0
+
     @settings(max_examples=60, deadline=None)
     @given(frames=st.integers(1, 6), size=st.integers(8, 40),
            depth=st.floats(0.15, 0.4, exclude_min=True, exclude_max=True),
