@@ -17,7 +17,7 @@ from . import evaluate, fusion, model, synth, train as training
 from .config import ConfigError, RunConfig, load_config
 from .pgm import read_pgm, write_pgm
 from .synth import DatasetError
-from .tensor import CheckpointError, save_tensors
+from .tensor import CheckpointError, atomic_open, save_tensors
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -111,7 +111,7 @@ def cmd_infer(args) -> int:
     frames = synth.load_frames(args.data)
     os.makedirs(args.out, exist_ok=True)
     rows, cols = frames.shape[1:]
-    with open(os.path.join(args.out, "keypoints.csv"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(args.out, "keypoints.csv")) as f:
         f.write("frame,slot,row,col\n")
         for t, frame in enumerate(frames):
             coords = model.infer_keypoints(frame, params, model_cfg, fusion_cfg)

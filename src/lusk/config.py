@@ -20,7 +20,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -29,23 +29,12 @@ class RunConfig:
     seed: int = 0
     pair_count: int = 200
 
-    def validate(self):
-        try:
-            self.fusion.validate()
-            self.model.validate()
-            self.train.validate()
-            self.scene.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    def __post_init__(self):
         if self.pair_count < 1:
             raise ConfigError(f"pair_count must be >= 1, got {self.pair_count}")
         if len(self.fusion.lambdas) != self.model.input_channels:
             raise ConfigError(f"lambdas has {len(self.fusion.lambdas)} wavelengths, but "
                               f"the network takes {self.model.input_channels} channels")
-        # one global seed drives every seeded stage
-        self.train.seed = self.seed
-        self.scene.seed = self.seed
-        return self
 
 
 def _parse_bool(v: str) -> bool:
@@ -78,7 +67,10 @@ _PARSERS = {int: int, float: finite_float, str: str, bool: _parse_bool}
 _FIELD_PARSERS = {"lambdas": _parse_lambdas, "b_lines": _parse_b_lines}
 
 # Section fields the program sets itself, never read from a config:
-_INTERNAL = {"seed"}  # copied from the top-level seed by RunConfig.validate
+_INTERNAL = {"seed"}  # load_config passes each section the top-level seed
+
+# section attr -> its dataclass, in RunConfig field order
+_SECTIONS = {name: hint for name, hint in get_type_hints(RunConfig).items() if is_dataclass(hint)}
 
 
 def _build_keys():
@@ -86,7 +78,7 @@ def _build_keys():
     named after its dataclass field and parsed by the field's annotation."""
     entries = []
     for name, hint in get_type_hints(RunConfig).items():
-        if is_dataclass(hint):
+        if name in _SECTIONS:
             entries += [(key, name, h) for key, h in get_type_hints(hint).items()
                         if key not in _INTERNAL]
         else:
@@ -101,19 +93,19 @@ def _build_keys():
 _KEYS = _build_keys()
 
 
-def apply_setting(cfg: RunConfig, key: str, value: str, where: str = "<override>"):
+def parse_setting(key: str, value: str, where: str = "<override>"):
+    """The value of one key=value setting, parsed by its key's parser."""
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown config key {key!r}")
-    section, parse = _KEYS[key]
     try:
-        parsed = parse(value)
+        return _KEYS[key][1](value)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
-    setattr(cfg if section is None else getattr(cfg, section), key, parsed)
 
 
-def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    cfg = RunConfig()
+def parse_config(text: str, source: str = "<config>") -> dict:
+    """key -> parsed value of each setting in `text`, later lines winning."""
+    values = {}
     unknown = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -126,25 +118,37 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if key not in _KEYS:
             unknown.append(f"{key!r} (line {lineno})")
             continue
-        apply_setting(cfg, key, value.strip(), f"{source}:{lineno}")
+        values[key] = parse_setting(key, value.strip(), f"{source}:{lineno}")
     if unknown:
         raise ConfigError(f"{source}: unknown config keys: " + ", ".join(unknown))
-    return cfg
+    return values
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
-    """Defaults, then the file at `path` (if any), then key=value overrides."""
-    cfg = RunConfig()
+    """Defaults, then the file at `path` (if any), then key=value overrides,
+    built into one RunConfig; each section checks itself as it is built."""
+    values = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as f:
                 text = f.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        cfg = parse_config(text, source=str(path))
+        values = parse_config(text, source=str(path))
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"override must be key=value, got {item!r}")
-        apply_setting(cfg, key.strip(), value.strip())
-    return cfg.validate()
+        values[key.strip()] = parse_setting(key.strip(), value.strip())
+    grouped = {name: {} for name in (*_SECTIONS, None)}
+    for key, value in values.items():
+        grouped[_KEYS[key][0]][key] = value
+    top = grouped.pop(None)
+    for name, section in _SECTIONS.items():
+        if "seed" in section.__dataclass_fields__:  # one global seed drives every seeded stage
+            grouped[name]["seed"] = top.get("seed", RunConfig.seed)
+    try:
+        sections = {name: section(**grouped[name]) for name, section in _SECTIONS.items()}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(**sections, **top)

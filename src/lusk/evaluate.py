@@ -13,6 +13,8 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .tensor import atomic_open
+
 DEFAULT_DELTA = 5.0  # pixels at 64x64; scale proportionally for other sizes
 
 
@@ -110,7 +112,7 @@ _HEADER = ("# pleura correctness: any keypoint row within delta pixels of the "
 
 
 def write_report(path, report: EvalReport):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write(_HEADER + "\n")
         for name in _SCALAR_FIELDS:
             f.write(f"{name}={getattr(report, name)!r}\n")
@@ -120,7 +122,7 @@ def write_report(path, report: EvalReport):
 def write_frame_csv(path, keypoints, truth, delta: float):
     """Per-frame detail: pleura distance of the best keypoint and correctness."""
     dists = _pleura_distances(keypoints, truth.pleura_rows)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write("frame,pleura_row,best_dist,correct\n")
         for t, (row, d) in enumerate(zip(truth.pleura_rows, dists)):
             f.write(f"{t},{row!r},{d!r},{int(d <= delta)}\n")

@@ -13,6 +13,7 @@ All functions are pure; per-frame parallel extraction is safe.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,17 @@ DEFAULT_LAMBDAS = tuple(float(x) for x in range(3, 31, 3))
 
 
 def as_float(name: str, value) -> float:
-    """value as a float; a bool or a value that is no real number raises ValueError."""
+    """value as a finite float; a bool, a value that is no real number, NaN
+    or an infinity raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionConfig:
     sigma0: float = 0.55
     lambdas: tuple = DEFAULT_LAMBDAS
@@ -40,10 +45,11 @@ class FusionConfig:
     # kept only because perfbench/checks.py reads it
     energy_denominator_mode = "sqrt_energy"
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("sigma0", "thresh", "epsilon", "attenuation_a"):
-            setattr(self, name, as_float(name, getattr(self, name)))
-        lam = self.lambdas = tuple(as_float("lambdas", x) for x in self.lambdas)
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
+        lam = tuple(as_float("lambdas", x) for x in self.lambdas)
+        object.__setattr__(self, "lambdas", lam)
         if not 0.0 < self.sigma0 < 1.0:
             raise ValueError(f"sigma0 must be in (0,1), got {self.sigma0}")
         if any(l2 <= l1 for l1, l2 in zip(lam, lam[1:])):
@@ -56,7 +62,6 @@ class FusionConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.attenuation_a < 0:
             raise ValueError(f"attenuation_a must be >= 0, got {self.attenuation_a}")
-        return self
 
 
 @dataclass
@@ -189,7 +194,6 @@ def phase_symmetry(m: MonogenicTriple, thresh: float, epsilon: float) -> np.ndar
 def fuse(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:
     """Fused feature stack: per wavelength, LP * FS * (1 - IBS), each channel
     min-max normalized. Returns (len(lambdas), H, W) in [0, 1]."""
-    cfg.validate()
     weight = 1.0 - ibs(frame)
     spectrum = fft.rfft2(frame)
     out = np.empty((len(cfg.lambdas), *frame.shape), dtype=np.float32)

@@ -24,7 +24,7 @@ from .tensor import upsample_nearest2x  # noqa: F401  unused; perfbench/tracing.
 CBAM_REDUCTION = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     k: int = 10
     input_size: int = 256
@@ -38,8 +38,9 @@ class ModelConfig:
     input_channels = 10
     feature_stride = 4
 
-    def validate(self):
-        self.heatmap_sigma = fusion.as_float("heatmap_sigma", self.heatmap_sigma)
+    def __post_init__(self):
+        sigma = fusion.as_float("heatmap_sigma", self.heatmap_sigma)
+        object.__setattr__(self, "heatmap_sigma", sigma)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.base_channels < 1:
@@ -53,7 +54,6 @@ class ModelConfig:
             raise ValueError(f"heatmap_sigma must be > 0, got {self.heatmap_sigma}")
         if self.input_mode not in ("fused", "norm_stack"):
             raise ValueError(f"unknown input_mode {self.input_mode!r}")
-        return self
 
     @property
     def feature_channels(self) -> int:
@@ -82,7 +82,6 @@ def _cbam_params(rng, params, prefix, channels):
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    cfg.validate()
     c1, c2 = cfg.base_channels, cfg.feature_channels
     params: dict[str, Tensor] = {}
     for trunk in ("encoder", "keynet"):
@@ -256,7 +255,7 @@ def save_model(path, params: dict[str, Tensor], cfg: ModelConfig,
                fusion_cfg: fusion.FusionConfig | None = None):
     """Write params after a config record: a `field=repr(value)` line per
     field of cfg and fusion_cfg (default FusionConfig()), a float32 per byte."""
-    sections = (cfg.validate(), (fusion_cfg or fusion.FusionConfig()).validate())
+    sections = (cfg, fusion_cfg or fusion.FusionConfig())
     text = "".join(f"{f}={getattr(c, f)!r}\n" for c in sections for f in c.__dataclass_fields__)
     record = np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float32)
     save_tensors(path, {_CONFIG_RECORD: record, **params})
@@ -290,7 +289,7 @@ def read_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig, fusion.Fusion
         values[name] = value
     try:
         cfg, fusion_cfg = (section(**{f: values[f] for f in section.__dataclass_fields__})
-                           .validate() for section in (ModelConfig, fusion.FusionConfig))
+                           for section in (ModelConfig, fusion.FusionConfig))
     except KeyError as exc:
         raise CheckpointError(f"{path}: config record lacks {exc.args[0]}") from None
     except ValueError as exc:

@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pgm import DatasetError, read_pgm, write_pgm
+from .tensor import atomic_open
 
 # mean of a unit Rayleigh variate, used to normalize speckle to mean 1
 _RAYLEIGH_MEAN = np.sqrt(np.pi / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BLineSpec:
     column: float = 0.7      # lateral position, fraction of width
     drift: float = 0.15      # pixels per frame
@@ -29,7 +30,7 @@ class BLineSpec:
     brightness: float = 0.8
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     frames: int = 40
     size: int = 64
@@ -44,7 +45,7 @@ class SceneSpec:
     speckle_strength: float = 0.3
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.frames < 1 or self.size < 8:
             raise ValueError(f"invalid scene extent: frames={self.frames}, size={self.size}")
         if not 0.15 < self.pleura_depth < 0.4:
@@ -69,7 +70,6 @@ class SceneSpec:
                 raise ValueError(f"brightness out of [0,1]: {b}")
         if self.speckle_strength < 0:
             raise ValueError(f"speckle_strength must be >= 0, got {self.speckle_strength}")
-        return self
 
 
 @dataclass
@@ -91,7 +91,6 @@ def _band(rows: int, center: float, sigma: float) -> np.ndarray:
 
 def generate(spec: SceneSpec) -> tuple[np.ndarray, GroundTruth]:
     """Render the scene. Returns (frames (T, S, S) in [0,1], truth)."""
-    spec.validate()
     size = spec.size
     truth = GroundTruth()
     video = np.zeros((spec.frames, size, size), dtype=np.float64)
@@ -138,7 +137,7 @@ def save_dataset(video: np.ndarray, truth: GroundTruth, directory):
         fields = [repr(float(p)), "A", *(repr(float(r)) for r in a_rows),
                   "B", *(repr(float(c)) for c in b_cols)]
         lines.append(" ".join(fields))
-    with open(os.path.join(directory, "truth.txt"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(directory, "truth.txt")) as f:
         f.write("\n".join(lines) + "\n")
 
 

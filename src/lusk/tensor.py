@@ -8,6 +8,7 @@ gradient checking in float64.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -499,18 +500,34 @@ class Adam:
 # -- checkpoint records ------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A file object on `<path>.tmp` (text in UTF-8 unless mode has "b");
+    when the block ends, it is flushed, fsynced and moved over `path`. On
+    any exception the temporary file is removed, so `path` keeps its
+    previous content, and the exception propagates."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_tensors(path, tensors: dict[str, np.ndarray]):
     """Write named arrays as LUSK records: magic, version, record count, then
     per record name length/bytes, rank and dims as u64, float32 LE values.
 
-    The records go to a temporary file beside `path` that then replaces it,
-    so a write that fails part-way leaves the previous file as it was. An
-    OSError (a directory or a missing parent at `path`) raises
-    CheckpointError.
+    The write is atomic (atomic_open). An OSError (a directory or a missing
+    parent at `path`) raises CheckpointError.
     """
-    tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as f:
+        with atomic_open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
             for name, arr in tensors.items():
@@ -522,14 +539,8 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
                 for d in data.shape:
                     f.write(struct.pack("<Q", d))
                 f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot write checkpoint: {exc.strerror}") from None
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import fusion, model
 from .synth import DatasetError
-from .tensor import Adam, Tensor, mse
+from .tensor import Adam, Tensor, atomic_open, mse
 from .tensor import conv2d  # noqa: F401  unused; perfbench/tracing.py wraps train.conv2d
 
 
@@ -21,7 +21,7 @@ class PairSamplingError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
     batch_size: int = 32
@@ -36,7 +36,7 @@ class TrainConfig:
     pretrain_epochs: int = 10
     checkpoint_every: int = 10
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.ssim_threshold <= 1.0:
             raise ValueError(f"ssim_threshold must be in (0,1], got {self.ssim_threshold}")
         for name in ("lr0", "lr_decay"):
@@ -46,7 +46,6 @@ class TrainConfig:
                      "pair_retry_factor", "pretrain_epochs", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        return self
 
 
 @dataclass
@@ -79,7 +78,6 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
     resampled; runs out of retries with a diagnostic acceptance rate.
     SSIM is symmetric, so each unordered frame pair is scored once.
     """
-    cfg.validate()
     for v, frames in enumerate(videos):
         if len(frames) < 2:
             raise DatasetError(f"video {v} has fewer than 2 frames")
@@ -158,7 +156,6 @@ def pretrain_encoder(stacks: np.ndarray, model_cfg: model.ModelConfig,
     Returns (encoder parameters only, per-epoch losses); the decoder is
     discarded.
     """
-    cfg.validate()
     stacks = np.asarray(stacks, dtype=np.float32)
     if stacks.ndim != 4 or stacks.shape[0] < 1:
         raise ValueError(f"expected (N, C, H, W) stacks, got {stacks.shape}")
@@ -190,8 +187,6 @@ def train(videos, model_cfg: model.ModelConfig, fusion_cfg: fusion.FusionConfig,
     transport, refine, MSE against the target stack, Adam update at the
     epoch's learning rate. Deterministic given cfg.seed.
     """
-    cfg.validate()
-    model_cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     params = model.init_params(model_cfg, rng)
     if init is not None:
@@ -220,7 +215,7 @@ def train(videos, model_cfg: model.ModelConfig, fusion_cfg: fusion.FusionConfig,
 
 
 def write_loss_csv(path, losses, lrs):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write("epoch,mean_loss,lr\n")
         for epoch, (loss, lr) in enumerate(zip(losses, lrs)):
             f.write(f"{epoch},{loss!r},{lr!r}\n")

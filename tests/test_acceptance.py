@@ -60,7 +60,7 @@ _OPS = [
 
 
 def _composed_gradcheck():
-    cfg = ModelConfig(input_size=16, k=2, base_channels=4).validate()
+    cfg = ModelConfig(input_size=16, k=2, base_channels=4)
     params = init_params(cfg, np.random.default_rng(0))
     names = sorted(params)
     rng = np.random.default_rng(1)

@@ -1,13 +1,14 @@
 import shutil
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lusk import fusion, synth
+from lusk import fusion, model, synth
 from lusk import train as training
 from lusk.cli import main, read_keypoints_csv
-from lusk.config import _KEYS, ConfigError, load_config, parse_config
+from lusk.config import _KEYS, ConfigError, RunConfig, load_config, parse_config
 from lusk.pgm import read_pgm, write_pgm
 from lusk.synth import BLineSpec, DatasetError
 from lusk.tensor import CheckpointError, load_tensors, save_tensors
@@ -21,17 +22,16 @@ TINY = ["--set", "size=32", "--set", "frames=10", "--set", "input_size=32",
 
 class TestConfig:
     def test_tuple_settings_parse(self):
-        cfg = parse_config("lambdas=3,6,9\nb_lines=0.3:0.1:1.5:0.9;0.5:0:2:1\n")
-        assert cfg.fusion.lambdas == (3.0, 6.0, 9.0)
-        assert cfg.scene.b_lines == (BLineSpec(0.3, 0.1, 1.5, 0.9), BLineSpec(0.5, 0.0, 2.0, 1.0))
+        values = parse_config("lambdas=3,6,9\nb_lines=0.3:0.1:1.5:0.9;0.5:0:2:1\n")
+        assert values["lambdas"] == (3.0, 6.0, 9.0)
+        assert values["b_lines"] == (BLineSpec(0.3, 0.1, 1.5, 0.9), BLineSpec(0.5, 0.0, 2.0, 1.0))
 
     def test_unknown_keys_listed_with_lines(self):
         with pytest.raises(ConfigError, match=r"'bogus' \(line 2\).*'wat' \(line 4\)"):
             parse_config("seed=1\nbogus=2\nk=5\nwat=3\n")
 
     def test_comments_and_blanks_ignored(self):
-        cfg = parse_config("# a comment\n\nseed=7  # trailing\n")
-        assert cfg.seed == 7
+        assert parse_config("# a comment\n\nseed=7  # trailing\n") == {"seed": 7}
 
     def test_bad_value_diagnostic(self):
         with pytest.raises(ConfigError, match="<config>:1.*'k'"):
@@ -48,8 +48,17 @@ class TestConfig:
         assert cfg.model.k == 6 and cfg.seed == 1
 
     def test_seed_propagates(self):
-        cfg = parse_config("seed=9\n").validate()
+        cfg = load_config(None, ["seed=9"])
         assert cfg.train.seed == 9 and cfg.scene.seed == 9
+
+    @pytest.mark.parametrize("section,field", [
+        (RunConfig, "seed"), (fusion.FusionConfig, "sigma0"), (model.ModelConfig, "k"),
+        (training.TrainConfig, "epochs"), (synth.SceneSpec, "frames"), (BLineSpec, "column")],
+        ids=lambda v: getattr(v, "__name__", v))
+    def test_built_configs_are_frozen(self, section, field):
+        cfg = section()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, field, getattr(cfg, field))
 
     def test_key_list_pinned(self):
         # every dataclass field not marked internal in config.py is a user
@@ -148,6 +157,25 @@ class TestPipeline:
         assert report.frames_total == 10
         assert 0.0 <= report.pleura_accuracy <= 1.0
         assert (tmp_path / "report_frames.csv").exists()
+
+    def test_failed_infer_keeps_previous_keypoints(self, dataset, checkpoint, tmp_path,
+                                                   monkeypatch):
+        argv = ["infer", "--ckpt", str(checkpoint), "--data", str(dataset),
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        before = (tmp_path / "keypoints.csv").read_bytes()
+        infer, frames = model.infer_keypoints, []
+
+        def fails_at_frame_3(frame, *args):
+            if len(frames) == 3:
+                raise FloatingPointError("non-finite keypoints at frame 3")
+            frames.append(frame)
+            return infer(frame, *args)
+
+        monkeypatch.setattr(model, "infer_keypoints", fails_at_frame_3)
+        assert main(argv) == 4
+        assert (tmp_path / "keypoints.csv").read_bytes() == before
+        assert not (tmp_path / "keypoints.csv.tmp").exists()
 
     def test_infer_maps_keypoints_back_per_axis(self, dataset, checkpoint, tmp_path):
         # each column of the square frames repeated 4x: the model sees the

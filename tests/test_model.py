@@ -15,7 +15,7 @@ from lusk.tensor import (CheckpointError, ShapeError, Tensor, conv2d, load_tenso
 
 
 def small_cfg(**kw):
-    return ModelConfig(input_size=64, k=3, **kw).validate()
+    return ModelConfig(input_size=64, k=3, **kw)
 
 
 def rand_stack(cfg, seed=0, n=1):
@@ -26,7 +26,7 @@ def rand_stack(cfg, seed=0, n=1):
 
 class TestEncode:
     def test_output_shape_default(self):
-        cfg = ModelConfig().validate()
+        cfg = ModelConfig()
         params = init_params(cfg, np.random.default_rng(0))
         x = Tensor(np.zeros((1, 10, 256, 256), dtype=np.float32))
         assert encode(x, params, cfg).shape == (1, 64, 64, 64)
@@ -237,7 +237,7 @@ class TestReconstructGraph:
         # at input 32, k=3, batch 8 one warm step peaked at 41x the bytes of
         # the source batch while the source graph and every saved array
         # lived until backward returned; now at 27x
-        cfg = ModelConfig(input_size=32, k=3).validate()
+        cfg = ModelConfig(input_size=32, k=3)
         params = init_params(cfg, np.random.default_rng(0))
         src, tgt = rand_stack(cfg, 0, n=8), rand_stack(cfg, 1, n=8)
 
@@ -480,24 +480,32 @@ class TestCheckpoint:
 class TestConfigValidation:
     def test_bad_k(self):
         with pytest.raises(ValueError, match="k"):
-            ModelConfig(k=0).validate()
+            ModelConfig(k=0)
 
     def test_indivisible_size(self):
         with pytest.raises(ValueError, match="divisible"):
-            ModelConfig(input_size=65).validate()
+            ModelConfig(input_size=65)
 
     @pytest.mark.parametrize("field,value", [("input_size", 0), ("input_size", -4),
                                              ("base_channels", 0), ("base_channels", -1)])
     def test_empty_network_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
-            ModelConfig(**{field: value}).validate()
+            ModelConfig(**{field: value})
 
     @pytest.mark.parametrize("section,field,value", [
         (ModelConfig, "heatmap_sigma", True), (FusionConfig, "thresh", False),
         (FusionConfig, "sigma0", "0.5"), (FusionConfig, "lambdas", (3.0, True))])
     def test_float_settings_reject_bools_and_text(self, section, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a number"):
-            section(**{field: value}).validate()
+            section(**{field: value})
+
+    @pytest.mark.parametrize("section,field,value", [
+        (ModelConfig, "heatmap_sigma", float("inf")), (FusionConfig, "attenuation_a", float("nan")),
+        (FusionConfig, "lambdas", (3.0, float("inf")))])
+    def test_non_finite_float_settings_rejected(self, section, field, value):
+        # such a config would write a checkpoint that read_checkpoint refuses
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            section(**{field: value})
 
     def test_determinism_of_init(self):
         cfg = small_cfg()

@@ -82,11 +82,10 @@ class TestGenerate:
                             max_size=3))
     def test_valid_scene_truth_stays_in_frame(self, frames, size, depth, amplitude,
                                               frequency, columns):
-        spec = SceneSpec(frames=frames, size=size, pleura_depth=depth, amplitude=amplitude,
-                         frequency=frequency, speckle_strength=0.0,
-                         b_lines=tuple(BLineSpec(column=c, drift=d) for c, d in columns))
         try:
-            spec.validate()
+            spec = SceneSpec(frames=frames, size=size, pleura_depth=depth, amplitude=amplitude,
+                             frequency=frequency, speckle_strength=0.0,
+                             b_lines=tuple(BLineSpec(column=c, drift=d) for c, d in columns))
         except ValueError:
             return
         _, truth = generate(spec)

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lusk.tensor import (Adam, CheckpointError, ShapeError, Tensor, concat, conv2d,
-                         instance_norm, load_tensors, mse, save_tensors,
+from lusk.tensor import (Adam, CheckpointError, ShapeError, Tensor, atomic_open, concat,
+                         conv2d, instance_norm, load_tensors, mse, save_tensors,
                          spatial_softmax, stop_gradient, upsample_conv2d,
                          upsample_nearest2x)
 from oracles import gradcheck
@@ -571,6 +571,17 @@ class TestCheckpoint:
             save_tensors(path, {"x": np.zeros(5, np.float32), "bad": np.array(["nan?"])})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ck.lusk"]
+
+    def test_exception_inside_atomic_open_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("previous\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_open(path) as f:
+                f.write("partial\n")
+                f.flush()
+                raise RuntimeError("midway")
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.lusk"

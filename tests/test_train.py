@@ -17,13 +17,13 @@ from oracles import sample_pairs_naive
 
 
 def tiny_model_cfg(**kw):
-    return ModelConfig(input_size=32, k=3, base_channels=8, **kw).validate()
+    return ModelConfig(input_size=32, k=3, base_channels=8, **kw)
 
 
 def tiny_train_cfg(**kw):
     defaults = dict(epochs=2, batch_size=4, seed=0, pretrain_epochs=2)
     defaults.update(kw)
-    return TrainConfig(**defaults).validate()
+    return TrainConfig(**defaults)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,23 @@ class TestComputeStacks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * stack.nbytes, peak / stack.nbytes
+
+
+def test_built_configs_are_not_checked_again(small_video, monkeypatch):
+    # a config checks its floats once, when it is built; inference and
+    # stack building only read it
+    mcfg, fcfg = tiny_model_cfg(), FusionConfig()
+    params = model.init_params(mcfg, np.random.default_rng(0))
+    as_float, calls = fusion.as_float, Counter()
+
+    def counted(name, value):
+        calls[name] += 1
+        return as_float(name, value)
+
+    monkeypatch.setattr(fusion, "as_float", counted)
+    model.infer_keypoints(small_video[0], params, mcfg, fcfg)
+    compute_stacks([small_video[:2]], mcfg, fcfg)
+    assert calls == Counter()
 
 
 class TestPretrain:
