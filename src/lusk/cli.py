@@ -115,9 +115,10 @@ def cmd_infer(args) -> int:
         f.write("frame,slot,row,col\n")
         for t, frame in enumerate(frames):
             coords = model.infer_keypoints(frame, params, model_cfg, fusion_cfg)
-            # the model sees an input_size square: map each axis back on its own
-            coords[:, 0] *= rows / model_cfg.input_size
-            coords[:, 1] *= cols / model_cfg.input_size
+            # the model sees an input_size square, resized align-corners (pixel
+            # j reads source j*(rows-1)/(input_size-1)): map each axis back alike
+            coords[:, 0] *= (rows - 1) / (model_cfg.input_size - 1)
+            coords[:, 1] *= (cols - 1) / (model_cfg.input_size - 1)
             for slot, (row, col) in enumerate(coords):
                 f.write(f"{t},{slot},{float(row)!r},{float(col)!r}\n")
             write_pgm(os.path.join(args.out, f"overlay_{t:05d}.pgm"),

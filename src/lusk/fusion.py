@@ -218,7 +218,8 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-_SSIM_WINDOW = _gaussian_window(11, 1.5)
+SSIM_WINDOW_SIZE = 11
+_SSIM_WINDOW = _gaussian_window(SSIM_WINDOW_SIZE, 1.5)
 _SSIM_WINDOW.flags.writeable = False
 
 
@@ -228,6 +229,9 @@ def ssim(frame_a: np.ndarray, frame_b: np.ndarray) -> float:
     if frame_a.shape != frame_b.shape:
         raise ValueError(
             f"ssim: frame shapes differ, {frame_a.shape} vs {frame_b.shape}")
+    if min(frame_a.shape) < SSIM_WINDOW_SIZE:  # "valid" fftconvolve would swap its inputs
+        raise ValueError(f"ssim: {frame_a.shape} frames are smaller than the "
+                         f"{SSIM_WINDOW_SIZE}x{SSIM_WINDOW_SIZE} window")
     a = frame_a.astype(np.float64)
     b = frame_b.astype(np.float64)
     c1 = 0.01 ** 2

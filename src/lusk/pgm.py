@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor import atomic_open
+
 
 class DatasetError(ValueError):
     """Missing or corrupt dataset files."""
@@ -13,7 +15,7 @@ def write_pgm(path, frame: np.ndarray):
     data = np.clip(np.rint(np.asarray(frame, dtype=np.float64) * 255.0), 0, 255)
     data = data.astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.tobytes())
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fusion import as_float
 from .pgm import DatasetError, read_pgm, write_pgm
 from .tensor import atomic_open
 
@@ -28,6 +29,10 @@ class BLineSpec:
     drift: float = 0.15      # pixels per frame
     width: float = 2.0       # gaussian sigma, pixels
     brightness: float = 0.8
+
+    def __post_init__(self):
+        for name in ("column", "drift", "width", "brightness"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,9 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("pleura_depth", "amplitude", "frequency", "pleura_brightness",
+                     "pleura_thickness", "a_line_decay", "speckle_strength"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
         if self.frames < 1 or self.size < 8:
             raise ValueError(f"invalid scene extent: frames={self.frames}, size={self.size}")
         if not 0.15 < self.pleura_depth < 0.4:

@@ -9,6 +9,7 @@ gradient checking in float64.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import struct
@@ -285,45 +286,52 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # -- convolution and friends -----------------------------------------------------
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation) plus bias, NCHW layout, zero padding;
-    odd kernels at stride 1 or 2, so every input pixel lies in the buffer.
+def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold, shifts) -> Tensor:
+    """Convolution as a sum of shifted GEMMs, behind conv2d and upsample_conv2d.
 
-    Shift-and-accumulate GEMM without an im2col buffer: kernel tap (i, j) is
-    one GEMM on a column slice of stride phase (i % s, j % s) of the padded
-    input, stored channel-major (c, n*hq*wq); margin outputs are cropped.
+    x is zero-padded by p and split into its s*s stride phases, each stored
+    channel-major as a (c, n*hq*wq) matrix. Shift (phase, u, v, outs, rows)
+    is one GEMM: input phase `phase` at column offset u*wq + v, times the
+    kernels of the output phases `outs`, each the sum of the kh*kw taps its
+    0/1 row of `fold[rows]` selects; the last shift reads farthest. The
+    output grid (gy, ga, gz, gb) is gy rows of ga phases by gz columns of gb
+    phases: pixel (i, y*ga + a, z*gb + b) of channel j is
+    [a*gb + b, j, (i*hq + y)*wq + z] of the (phases, o, m) GEMM buffer.
+    The weight gradient adds up shift by shift, in table order; one stacked
+    fold.T GEMM would sum in another order and change its bits.
     """
-    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
-        raise ShapeError("conv2d", x.shape, w.shape)
-    (n, c, h, wd), (o, _, kh, kw), s, p = x.shape, w.shape, stride, padding
-    hp, wp = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
-    if min(hp, wp) < 1 or b.shape != (o,) or s not in (1, 2) or not kh % 2 == kw % 2 == 1:
-        raise ShapeError(f"conv2d (stride {s})", x.shape, w.shape, b.shape)
-    hq, wq = hp + (kh - 1) // s, wp + (kw - 1) // s  # hq * s >= h + 2p, likewise wq
+    (n, c, h, wd), (o, _, kh, kw) = x.shape, w.shape
+    gy, ga, gz, gb = grid
+    du, dv = shifts[-1][1:3]
+    hq, wq = gy + du, gz + dv  # hq * s >= h + 2p, likewise wq
+    m = n * hq * wq - du * wq - dv  # one past the last valid output
     xp = np.zeros((c, n, hq * s, wq * s), x.dtype)
     xp[:, :, p:p + h, p:p + wd] = x.data.swapaxes(0, 1)
-    ph = xp.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s, s, c, -1)
-    m = n * hq * wq - (kh - 1) // s * wq - (kw - 1) // s  # one past the last valid output
-    taps = [(i % s, j % s, slice(None), slice(i // s * wq + j // s, None))
-            for i in range(kh) for j in range(kw)]
-    wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(-1, o, c)
-    out = np.zeros((o, m), np.result_type(x.data, w.data))
-    for wij, tap in zip(wt, taps):
-        out += wij @ ph[tap][:, :m]
-    # out[:, (image * hq + row) * wq + col]: copy out the valid (hp, wp) corners as NCHW
-    out_data = as_strided(out, (n, o, hp, wp), [out.itemsize * k for k in (hq * wq, m, wq, 1)],
-                          writeable=False).copy()
+    ph = xp.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, c, -1)
+    kernels = fold @ w.data.transpose(2, 3, 0, 1).reshape(kh * kw, o * c)
+    dtype = np.result_type(x.data, w.data)
+    out = np.zeros((ga * gb, o, m), dtype)
+    for phase, u, v, outs, rows in shifts:
+        off = u * wq + v
+        out[outs] += (kernels[rows].reshape(-1, c) @ ph[phase][:, off:off + m]).reshape(-1, o, m)
+    view, steps = (n, o, gy, ga, gz, gb), (hq * wq, m, wq, gb * o * m, 1, o * m)
+    out_data = as_strided(out, view, [out.itemsize * k for k in steps],
+                          writeable=False).copy().reshape(n, o, gy * ga, gz * gb)
     out_data += b.data.reshape(1, o, 1, 1)
 
     def backward(g):
-        go = np.pad(g.swapaxes(0, 1), ((0, 0), (0, 0), (0, hq - hp), (0, wq - wp)))
-        go = go.reshape(o, -1)[:, :m]
-        gw = np.stack([go @ ph[tap][:, :m].T for tap in taps])
-        w._accumulate(gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            gph = np.zeros(ph.shape, np.result_type(go, wt))
-            for wij, tap in zip(wt, taps):
-                gph[tap][:, :m] += wij.T @ go
+        go = np.zeros((ga * gb, o, m), g.dtype)
+        as_strided(go, view, [go.itemsize * k for k in steps])[...] = g.reshape(view)
+        gtaps = np.zeros((kh * kw, o * c), dtype)
+        gph = np.zeros(ph.shape, dtype) if x.requires_grad else None
+        for phase, u, v, outs, rows in shifts:
+            off = u * wq + v
+            gs = go[outs].reshape(-1, m)
+            gtaps += fold[rows].T @ (gs @ ph[phase][:, off:off + m].T).reshape(-1, o * c)
+            if gph is not None:
+                gph[phase][:, off:off + m] += kernels[rows].reshape(-1, c).T @ gs
+        w._accumulate(gtaps.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
+        if gph is not None:
             gx = gph.reshape(s, s, c, n, hq, wq).transpose(3, 2, 4, 0, 5, 1)
             x._accumulate(gx.reshape(n, c, hq * s, wq * s)[:, :, p:p + h, p:p + wd])
         b._accumulate(g.sum(axis=(0, 2, 3)))
@@ -331,27 +339,50 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     return _op(out_data, (x, w, b), backward)
 
 
-def _upsample_shifts():
-    """(u, v, phases, fold) for each 3x3 shift (u, v) of the padded input.
+@functools.lru_cache(maxsize=None)
+def _conv_shifts(kh: int, kw: int, s: int):
+    """(fold, shifts) of a kh x kw kernel at stride s: tap (i, j) alone reads
+    stride phase (i % s, j % s) at row i // s, column j // s."""
+    fold = np.eye(kh * kw, dtype=np.float32)
+    fold.setflags(write=False)
+    return fold, tuple(((i % s) * s + j % s, i // s, j // s, slice(0, 1), slice(t, t + 1))
+                       for t, (i, j) in enumerate(np.ndindex(kh, kw)))
 
-    Output pixel (2y + a, 2x + b) of a 3x3 conv on the nearest-2x upsampled
-    input reads padded input row y + (a + i + 1) // 2 through kernel row i,
-    and columns likewise; so phase (a, b), buffer row 2a + b, is a 2x2 conv.
-    `phases` is the slice of the (a, b) rows that read shift (u, v): 4 at
-    the centre, 2 at an edge, 1 at a corner. `fold` is (phases, 9): which
-    of the kernel's 9 taps each phase sums at this shift.
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D convolution (cross-correlation) plus bias, NCHW layout, zero padding;
+    odd kernels at stride 1 or 2, so every input pixel lies in the buffer.
+    Each kernel tap is one GEMM on a stride phase of the padded input."""
+    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
+        raise ShapeError("conv2d", x.shape, w.shape)
+    (n, c, h, wd), (o, _, kh, kw), s, p = x.shape, w.shape, stride, padding
+    hp, wp = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
+    if min(hp, wp) < 1 or b.shape != (o,) or s not in (1, 2) or not kh % 2 == kw % 2 == 1:
+        raise ShapeError(f"conv2d (stride {s})", x.shape, w.shape, b.shape)
+    return _polyphase_conv(x, w, b, s, p, (hp, 1, wp, 1), *_conv_shifts(kh, kw, s))
+
+
+def _upsample_shifts():
+    """(fold, shifts) of a 3x3 conv on the nearest-2x upsampled input.
+
+    Output pixel (2y + a, 2x + b) reads padded input row y + (a + i + 1) // 2
+    through kernel row i, and columns likewise; so phase (a, b), buffer row
+    2a + b, is a 2x2 conv. Shift (u, v) feeds 4 phases at the centre, 2 at
+    an edge and 1 at a corner; the stacked fold is (16, 9).
     """
-    shifts = []
+    fold, shifts = [], []
     for u, v in np.ndindex(3, 3):
         rows = [a for a in (0, 1) if u - a in (0, 1)]
         cols = [b for b in (0, 1) if v - b in (0, 1)]
-        phases = slice(2 * rows[0] + cols[0], 2 * rows[-1] + cols[-1] + 1,
-                       2 if len(rows) > len(cols) else 1)
-        fold = np.array([[(a + i + 1) // 2 == u and (b + j + 1) // 2 == v
-                          for i in range(3) for j in range(3)]
-                         for a in rows for b in cols], np.float32)
-        shifts.append((u, v, phases, fold))
-    return shifts
+        outs = slice(2 * rows[0] + cols[0], 2 * rows[-1] + cols[-1] + 1,
+                     2 if len(rows) > len(cols) else 1)
+        block = [[(a + i + 1) // 2 == u and (b + j + 1) // 2 == v
+                  for i in range(3) for j in range(3)] for a in rows for b in cols]
+        shifts.append((0, u, v, outs, slice(len(fold), len(fold) + len(block))))
+        fold += block
+    fold = np.array(fold, np.float32)
+    fold.setflags(write=False)
+    return fold, tuple(shifts)
 
 
 _UPSAMPLE_SHIFTS = _upsample_shifts()
@@ -359,52 +390,11 @@ _UPSAMPLE_SHIFTS = _upsample_shifts()
 
 def upsample_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """conv2d(upsample_nearest2x(x), w, b, padding=1) for a 3x3 kernel,
-    without building the upsampled input.
-
-    The four output phases are 2x2 convs at x's resolution (Shi et al.
-    2016). x is padded once, channel-major (c, n*hq*wq) as in conv2d; each
-    of the 9 shifts is one GEMM of the phase kernels that read it, stacked,
-    added into a (4, o, m) phase buffer that is then interleaved to NCHW.
-    """
+    without building the upsampled input: its four output phases are 2x2
+    convs at x's resolution (Shi et al. 2016)."""
     if x.ndim != 4 or w.shape[1:] != (x.shape[1], 3, 3) or b.shape != w.shape[:1]:
         raise ShapeError("upsample_conv2d", x.shape, w.shape, b.shape)
-    (n, c, h, wd), o = x.shape, w.shape[0]
-    hq, wq = h + 2, wd + 2
-    m = n * hq * wq - 2 * wq - 2  # one past the last valid output
-    xp = np.zeros((c, n, hq, wq), x.dtype)
-    xp[:, :, 1:h + 1, 1:wd + 1] = x.data.swapaxes(0, 1)
-    xp = xp.reshape(c, -1)
-    taps = w.data.transpose(2, 3, 0, 1).reshape(9, o * c)
-    kernels = [(fold @ taps).reshape(-1, c) for *_, fold in _UPSAMPLE_SHIFTS]
-    dtype = np.result_type(x.data, w.data)
-    out = np.zeros((4, o, m), dtype)
-    for (u, v, phases, _), k in zip(_UPSAMPLE_SHIFTS, kernels):
-        off = u * wq + v
-        out[phases] += (k @ xp[:, off:off + m]).reshape(-1, o, m)
-    # out[2a + b, :, (image * hq + y) * wq + x] is output pixel (2y + a, 2x + b)
-    out_data = as_strided(out, (n, o, h, 2, wd, 2),
-                          [out.itemsize * k for k in (hq * wq, m, wq, 2 * o * m, 1, o * m)],
-                          writeable=False).copy().reshape(n, o, 2 * h, 2 * wd)
-    out_data += b.data.reshape(1, o, 1, 1)
-
-    def backward(g):
-        gp = np.zeros((2, 2, o, n, hq, wq), g.dtype)
-        gp[..., :h, :wd] = g.reshape(n, o, h, 2, wd, 2).transpose(3, 5, 1, 0, 2, 4)
-        go = gp.reshape(4, o, -1)[:, :, :m]
-        gtaps = np.zeros((9, o * c), dtype)
-        gxp = np.zeros((c, xp.shape[1]), dtype) if x.requires_grad else None
-        for (u, v, phases, fold), k in zip(_UPSAMPLE_SHIFTS, kernels):
-            off = u * wq + v
-            gs = go[phases].reshape(-1, m)
-            gtaps += fold.T @ (gs @ xp[:, off:off + m].T).reshape(len(fold), -1)
-            if gxp is not None:
-                gxp[:, off:off + m] += k.T @ gs
-        w._accumulate(gtaps.reshape(3, 3, o, c).transpose(2, 3, 0, 1))
-        if gxp is not None:
-            x._accumulate(gxp.reshape(c, n, hq, wq)[:, :, 1:h + 1, 1:wd + 1].swapaxes(0, 1))
-        b._accumulate(g.sum(axis=(0, 2, 3)))
-
-    return _op(out_data, (x, w, b), backward)
+    return _polyphase_conv(x, w, b, 1, 1, (x.shape[2], 2, x.shape[3], 2), *_UPSAMPLE_SHIFTS)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

@@ -37,6 +37,8 @@ class TrainConfig:
     checkpoint_every: int = 10
 
     def __post_init__(self):
+        for name in ("lr0", "lr_decay", "ssim_threshold"):
+            object.__setattr__(self, name, fusion.as_float(name, getattr(self, name)))
         if not 0.0 < self.ssim_threshold <= 1.0:
             raise ValueError(f"ssim_threshold must be in (0,1], got {self.ssim_threshold}")
         for name in ("lr0", "lr_decay"):
@@ -81,6 +83,9 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
     for v, frames in enumerate(videos):
         if len(frames) < 2:
             raise DatasetError(f"video {v} has fewer than 2 frames")
+        if min(frames[0].shape) < fusion.SSIM_WINDOW_SIZE:
+            raise DatasetError(f"video {v} has {frames[0].shape} frames, smaller than the "
+                               f"{fusion.SSIM_WINDOW_SIZE}x{fusion.SSIM_WINDOW_SIZE} SSIM window")
     pairs: list[PairSample] = []
     scores: dict[tuple[int, int, int], float] = {}
     attempts = 0

@@ -60,6 +60,20 @@ class TestConfig:
         with pytest.raises(FrozenInstanceError):
             setattr(cfg, field, getattr(cfg, field))
 
+    @pytest.mark.parametrize("section,field", [
+        *((training.TrainConfig, f) for f in ("lr0", "lr_decay", "ssim_threshold")),
+        *((synth.SceneSpec, f) for f in ("pleura_depth", "amplitude", "frequency",
+                                         "pleura_brightness", "pleura_thickness",
+                                         "a_line_decay", "speckle_strength")),
+        *((BLineSpec, f) for f in ("column", "drift", "width", "brightness"))],
+        ids=lambda v: getattr(v, "__name__", v))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_settings_rejected(self, section, field, value):
+        # the config parser refuses these; a config built in code must too,
+        # or SceneSpec renders NaN frames and TrainConfig trains to a NaN loss
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            section(**{field: value})
+
     def test_key_list_pinned(self):
         # every dataclass field not marked internal in config.py is a user
         # setting; a new field must show up here on purpose
@@ -178,8 +192,9 @@ class TestPipeline:
         assert not (tmp_path / "keypoints.csv.tmp").exists()
 
     def test_infer_maps_keypoints_back_per_axis(self, dataset, checkpoint, tmp_path):
-        # each column of the square frames repeated 4x: the model sees the
-        # same input, so rows match and columns are 4x the square run's
+        # each column of the 32x32 frames repeated 4x: the align-corners
+        # resize back to 32x32 gives the model the same input, so rows match
+        # and columns are 127/31 times the square run's (float32 arithmetic)
         wide = tmp_path / "wide"
         wide.mkdir()
         for t, frame in enumerate(synth.load_frames(dataset)):
@@ -190,7 +205,8 @@ class TestPipeline:
         square = read_keypoints_csv(tmp_path / "square" / "keypoints.csv")
         widened = read_keypoints_csv(tmp_path / "wide" / "keypoints.csv")
         assert np.array_equal(widened[..., 0], square[..., 0])
-        assert np.array_equal(widened[..., 1], 4.0 * square[..., 1])
+        scale = np.float32(127 / 31)
+        assert np.array_equal(widened[..., 1], square[..., 1].astype(np.float32) * scale)
 
     def test_infer_preprocesses_as_trained(self, dataset, tmp_path, capsys):
         # the checkpoint records the input pipeline, so infer needs no --config
@@ -340,6 +356,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.lusk")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "fewer than 2 frames" in err
+
+    @pytest.mark.parametrize("shape", [(8, 8), (10, 40)], ids=["8x8", "10x40"])
+    def test_frames_smaller_than_ssim_window_are_data_error(self, shape, tmp_path, capsys):
+        data = tmp_path / "small"
+        data.mkdir()
+        for t in range(3):
+            write_pgm(data / f"frame_{t:05d}.pgm", np.full(shape, 0.5))
+        assert main(["train", *TINY, "--data", str(data),
+                     "--out", str(tmp_path / "m.lusk")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert f"{shape} frames, smaller than the 11x11 SSIM window" in err
 
     @pytest.mark.parametrize("command", ["pretrain", "train"])
     def test_diverging_loss_is_numeric_error(self, command, dataset, tmp_path, capsys):

@@ -353,6 +353,13 @@ class TestSsim:
         with pytest.raises(ValueError, match="shapes differ"):
             ssim(np.zeros((16, 16)), np.zeros((16, 17)))
 
+    @pytest.mark.parametrize("shape", [(8, 8), (10, 40)], ids=["8x8", "10x40"])
+    def test_frames_smaller_than_window_rejected(self, shape):
+        # a "valid" fftconvolve would convolve the window by an 8x8 frame
+        with pytest.raises(ValueError, match="frames are smaller than the 11x11 window") as info:
+            ssim(np.zeros(shape), np.zeros(shape))
+        assert str(shape) in str(info.value)
+
 
 class TestProperties:
     @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,20 @@ class TestDatasetIo:
         write_pgm(tmp_path / "frame_00002.pgm", np.zeros((16, 12)))
         with pytest.raises(DatasetError, match=r"frame_00002\.pgm: frame is \(16, 12\)"):
             load_frames(tmp_path)
+
+    def test_failed_frame_write_keeps_previous_frame(self, tmp_path, monkeypatch):
+        path = tmp_path / "frame_00000.pgm"
+        write_pgm(path, np.full((4, 6), 0.5))
+        before = path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            write_pgm(path, np.zeros((4, 6)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["frame_00000.pgm"]
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(DatasetError, match="no frame"):
