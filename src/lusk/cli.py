@@ -25,10 +25,7 @@ EXIT_NUMERIC = 4
 
 
 def _run_config(args) -> RunConfig:
-    overrides = list(args.set or [])
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    return load_config(args.config, overrides)
+    return load_config(args.config, args.set or ())
 
 
 def cmd_synth(args) -> int:
@@ -182,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="config override (repeatable, later wins)")
-        p.add_argument("--seed", type=int, help="override the global seed")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)

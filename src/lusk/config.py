@@ -26,7 +26,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     scene: SceneSpec = field(default_factory=SceneSpec)
-    seed: int = 0
     pair_count: int = 200
 
     def __post_init__(self):
@@ -66,27 +65,24 @@ _PARSERS = {int: int, float: finite_float, str: str, bool: _parse_bool}
 # tuple fields each have their own parser
 _FIELD_PARSERS = {"lambdas": _parse_lambdas, "b_lines": _parse_b_lines}
 
-# Section fields the program sets itself, never read from a config:
-_INTERNAL = {"seed"}  # load_config passes each section the top-level seed
-
 # section attr -> its dataclass, in RunConfig field order
 _SECTIONS = {name: hint for name, hint in get_type_hints(RunConfig).items() if is_dataclass(hint)}
+# the one key that more than one section declares: it sets each of them
+_SHARED = {"seed"}
 
 
 def _build_keys():
-    """key -> (section attr or None for top level, parse). Each key is
-    named after its dataclass field and parsed by the field's annotation."""
-    entries = []
+    """key -> (the RunConfig section attrs it sets, None meaning the top
+    level; its parser). Each key is named after its dataclass field and
+    parsed by the field's annotation."""
+    keys = {}
     for name, hint in get_type_hints(RunConfig).items():
-        if name in _SECTIONS:
-            entries += [(key, name, h) for key, h in get_type_hints(hint).items()
-                        if key not in _INTERNAL]
-        else:
-            entries.append((name, None, hint))
-    keys = {key: (section, _FIELD_PARSERS.get(key) or _PARSERS[hint])
-            for key, section, hint in entries}
-    if len(keys) != len(entries):
-        raise TypeError("a config key is declared in two sections")
+        section = name if name in _SECTIONS else None
+        for key, h in (get_type_hints(hint) if section else {name: hint}).items():
+            if key in keys and key not in _SHARED:
+                raise TypeError(f"config key {key!r} is declared in two sections")
+            sections = keys[key][0] if key in keys else ()
+            keys[key] = ((*sections, section), _FIELD_PARSERS.get(key) or _PARSERS[h])
     return keys
 
 
@@ -142,11 +138,9 @@ def load_config(path=None, overrides=()) -> RunConfig:
         values[key.strip()] = parse_setting(key.strip(), value.strip())
     grouped = {name: {} for name in (*_SECTIONS, None)}
     for key, value in values.items():
-        grouped[_KEYS[key][0]][key] = value
+        for section in _KEYS[key][0]:
+            grouped[section][key] = value
     top = grouped.pop(None)
-    for name, section in _SECTIONS.items():
-        if "seed" in section.__dataclass_fields__:  # one global seed drives every seeded stage
-            grouped[name]["seed"] = top.get("seed", RunConfig.seed)
     try:
         sections = {name: section(**grouped[name]) for name, section in _SECTIONS.items()}
     except ValueError as exc:

@@ -39,14 +39,15 @@ class FusionConfig:
     sigma0: float = 0.55
     lambdas: tuple = DEFAULT_LAMBDAS
     thresh: float = 0.01
-    epsilon: float = 1e-6
-    attenuation_a: float = 1.5
-    # not a field: phase_symmetry always divides by the local amplitude;
-    # kept only because perfbench/checks.py reads it
+    attenuation_a: float = 1.5  # 0 turns the depth attenuation off
+    # not fields: epsilon guards the local-phase and phase-symmetry
+    # divisions; phase_symmetry always divides by the local amplitude, a
+    # rule kept as a name only because perfbench/checks.py reads it
+    epsilon = 1e-6
     energy_denominator_mode = "sqrt_energy"
 
     def __post_init__(self):
-        for name in ("sigma0", "thresh", "epsilon", "attenuation_a"):
+        for name in ("sigma0", "thresh", "attenuation_a"):
             object.__setattr__(self, name, as_float(name, getattr(self, name)))
         lam = tuple(as_float("lambdas", x) for x in self.lambdas)
         object.__setattr__(self, "lambdas", lam)
@@ -58,8 +59,6 @@ class FusionConfig:
             raise ValueError(f"lambdas must all exceed 2 pixels, got {lam}")
         if self.thresh < 0:
             raise ValueError(f"thresh must be >= 0, got {self.thresh}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.attenuation_a < 0:
             raise ValueError(f"attenuation_a must be >= 0, got {self.attenuation_a}")
 
@@ -268,9 +267,6 @@ def resize_bilinear(img: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return top * (1 - fr) + bot * fr
 
 
-def prepare_frame(frame: np.ndarray, size: int, attenuation_a: float | None = None) -> np.ndarray:
-    """Resize to the working resolution and optionally apply TGA."""
-    out = resize_bilinear(frame, size, size)
-    if attenuation_a is not None:
-        out = tga(out, attenuation_a)
-    return out
+def prepare_frame(frame: np.ndarray, size: int, attenuation_a: float) -> np.ndarray:
+    """Resize to the working resolution, then apply TGA (the identity at a=0)."""
+    return tga(resize_bilinear(frame, size, size), attenuation_a)

@@ -31,7 +31,6 @@ class ModelConfig:
     heatmap_sigma: float = 1.5
     use_cbam: bool = False
     base_channels: int = 32
-    use_tga: bool = True
     input_mode: str = "fused"
     # not fields: the feature stack has 10 channels, and the encoder's two
     # stride-2 stages fix the stride at 4
@@ -219,9 +218,8 @@ def cell_to_pixel(cell: np.ndarray, stride: int) -> np.ndarray:
 
 def preprocess_frame(frame: np.ndarray, cfg: ModelConfig,
                      fusion_cfg: fusion.FusionConfig) -> np.ndarray:
-    """Resize + optional TGA + feature stack, as fed to the network."""
-    a = fusion_cfg.attenuation_a if cfg.use_tga else None
-    prepared = fusion.prepare_frame(frame, cfg.input_size, a)
+    """Resize + TGA + feature stack, as fed to the network."""
+    prepared = fusion.prepare_frame(frame, cfg.input_size, fusion_cfg.attenuation_a)
     if cfg.input_mode == "fused":
         return fusion.fuse(prepared, fusion_cfg)
     return fusion.norm_stack(prepared, cfg.input_channels)
@@ -263,7 +261,8 @@ def save_model(path, params: dict[str, Tensor], cfg: ModelConfig,
 
 def read_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig, fusion.FusionConfig]:
     """Parameters (requiring no gradient), model and fusion config of a
-    checkpoint; a malformed config record raises CheckpointError."""
+    checkpoint; a malformed config record or a non-finite parameter raises
+    CheckpointError."""
     records = load_tensors(path)
     if _CONFIG_RECORD not in records:
         raise CheckpointError(f"{path}: missing config record")
@@ -294,6 +293,9 @@ def read_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig, fusion.Fusion
         raise CheckpointError(f"{path}: config record lacks {exc.args[0]}") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    for name, arr in records.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: parameter {name} holds NaN or an infinity")
     return {name: Tensor(arr) for name, arr in records.items()}, cfg, fusion_cfg
 
 

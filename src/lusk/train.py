@@ -21,6 +21,10 @@ class PairSamplingError(RuntimeError):
     pass
 
 
+# sample_pairs gives up after this many draws per pair asked for
+PAIR_RETRY_FACTOR = 50
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
@@ -32,7 +36,6 @@ class TrainConfig:
     max_pair_gap: int = 10
     seed: int = 0
     use_ssim_gate: bool = True
-    pair_retry_factor: int = 50
     pretrain_epochs: int = 10
     checkpoint_every: int = 10
 
@@ -45,7 +48,7 @@ class TrainConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("epochs", "batch_size", "lr_interval", "max_pair_gap",
-                     "pair_retry_factor", "pretrain_epochs", "checkpoint_every"):
+                     "pretrain_epochs", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -89,7 +92,7 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
     pairs: list[PairSample] = []
     scores: dict[tuple[int, int, int], float] = {}
     attempts = 0
-    budget = cfg.pair_retry_factor * count
+    budget = PAIR_RETRY_FACTOR * count
     while len(pairs) < count:
         if attempts >= budget:
             rate = len(pairs) / attempts if attempts else 0.0
@@ -212,10 +215,9 @@ def train(videos, model_cfg: model.ModelConfig, fusion_cfg: fusion.FusionConfig,
     for epoch, loss, lr in _epochs(opt, len(pairs), batch_loss, cfg, rng, cfg.epochs):
         losses.append(loss)
         lrs.append(lr)
-        if checkpoint_path and (epoch + 1) % cfg.checkpoint_every == 0:
+        done = epoch + 1
+        if checkpoint_path and (done % cfg.checkpoint_every == 0 or done == cfg.epochs):
             model.save_model(checkpoint_path, params, model_cfg, fusion_cfg)
-    if checkpoint_path:
-        model.save_model(checkpoint_path, params, model_cfg, fusion_cfg)
     return TrainResult(params=params, losses=losses, lrs=lrs)
 
 

@@ -265,16 +265,16 @@ STAGES = {(fusion, "resize_bilinear"): "resize", (fusion, "tga"): "tga",
 def test_criterion_8_ablation_traces(monkeypatch):
     video, _ = generate(SceneSpec(frames=8, size=32, seed=0))
     mcfg_kw = dict(input_size=32, k=3, base_channels=8)
-    combos = [  # (model switches, train switches, expected trace)
-        (dict(), dict(), ["resize", "tga", "fuse", "ssim_gate", "encode",
-                          "keynet", "transport", "refine"]),
-        (dict(use_tga=False), dict(), ["resize", "fuse", "ssim_gate", "encode",
-                                       "keynet", "transport", "refine"]),
-        (dict(input_mode="norm_stack"), dict(use_ssim_gate=False),
+    combos = [  # (model switches, fusion switches, train switches, expected trace)
+        (dict(), dict(), dict(), ["resize", "tga", "fuse", "ssim_gate", "encode",
+                                  "keynet", "transport", "refine"]),
+        (dict(), dict(attenuation_a=0.0), dict(), ["resize", "tga", "fuse", "ssim_gate",
+                                                   "encode", "keynet", "transport", "refine"]),
+        (dict(input_mode="norm_stack"), dict(), dict(use_ssim_gate=False),
          ["resize", "tga", "norm_stack", "encode",
           "keynet", "transport", "refine"]),
-        (dict(use_cbam=True), dict(), ["resize", "tga", "fuse", "ssim_gate", "encode",
-                                       "cbam", "keynet", "transport", "refine"]),
+        (dict(use_cbam=True), dict(), dict(), ["resize", "tga", "fuse", "ssim_gate", "encode",
+                                               "cbam", "keynet", "transport", "refine"]),
     ]
     ran = []
 
@@ -287,12 +287,13 @@ def test_criterion_8_ablation_traces(monkeypatch):
     for (module, name), stage in STAGES.items():
         monkeypatch.setattr(module, name, recorded(getattr(module, name), stage))
     ok = True
-    for model_switches, train_switches, expected in combos:
+    for model_switches, fusion_switches, train_switches, expected in combos:
         tcfg = TrainConfig(epochs=1, batch_size=4, seed=0, ssim_threshold=0.5,
                            **train_switches)
         mcfg = ModelConfig(**mcfg_kw, **model_switches)
+        fcfg = FusionConfig(**fusion_switches)
         ran.clear()
-        training.train([video], mcfg, FusionConfig(), tcfg, pair_count=4)
+        training.train([video], mcfg, fcfg, tcfg, pair_count=4)
         # stages in the order they first ran; pairs are sampled before any stack
         ok = ok and list(dict.fromkeys(ran)) == [s for s in expected if s != "ssim_gate"]
         # the gate is seen by its effect: with every pair scored below the
@@ -300,9 +301,14 @@ def test_criterion_8_ablation_traces(monkeypatch):
         with monkeypatch.context() as low:
             low.setattr(fusion, "ssim", lambda a, b: 0.0)
             try:
-                training.train([video], mcfg, FusionConfig(), tcfg, pair_count=4)
+                training.train([video], mcfg, fcfg, tcfg, pair_count=4)
                 gated = False
             except PairSamplingError:
                 gated = True
         ok = ok and gated == ("ssim_gate" in expected)
+    # attenuation_a=0 turns TGA off: each stack is the fused resized frame, unscaled
+    fcfg = FusionConfig(attenuation_a=0.0)
+    stacks = training.compute_stacks([video], ModelConfig(**mcfg_kw), fcfg)[0]
+    unscaled = [fusion.fuse(fusion.resize_bilinear(frame, 32, 32), fcfg) for frame in video]
+    ok = ok and np.array_equal(stacks, np.stack(unscaled))
     _line(8, "ablation switch integrity", ok)

@@ -45,14 +45,21 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("seed=1\nk=4\n")
         cfg = load_config(path, overrides=["k=6"])
-        assert cfg.model.k == 6 and cfg.seed == 1
+        assert cfg.model.k == 6 and cfg.train.seed == 1
 
     def test_seed_propagates(self):
         cfg = load_config(None, ["seed=9"])
         assert cfg.train.seed == 9 and cfg.scene.seed == 9
 
+    def test_seed_is_the_only_key_of_two_fields(self):
+        assert {key: sections for key, (sections, _) in _KEYS.items()
+                if len(sections) > 1} == {"seed": ("train", "scene")}
+        # the seed lives in the sections only
+        with pytest.raises(TypeError):
+            RunConfig(seed=5)
+
     @pytest.mark.parametrize("section,field", [
-        (RunConfig, "seed"), (fusion.FusionConfig, "sigma0"), (model.ModelConfig, "k"),
+        (RunConfig, "pair_count"), (fusion.FusionConfig, "sigma0"), (model.ModelConfig, "k"),
         (training.TrainConfig, "epochs"), (synth.SceneSpec, "frames"), (BLineSpec, "column")],
         ids=lambda v: getattr(v, "__name__", v))
     def test_built_configs_are_frozen(self, section, field):
@@ -75,32 +82,30 @@ class TestConfig:
             section(**{field: value})
 
     def test_key_list_pinned(self):
-        # every dataclass field not marked internal in config.py is a user
-        # setting; a new field must show up here on purpose
+        # every dataclass field is a user setting; a new field must show up
+        # here on purpose
         assert list(_KEYS) == [
-            "sigma0", "lambdas", "thresh", "epsilon", "attenuation_a",
-            "k", "input_size", "heatmap_sigma", "use_cbam", "base_channels",
-            "use_tga", "input_mode",
+            "sigma0", "lambdas", "thresh", "attenuation_a",
+            "k", "input_size", "heatmap_sigma", "use_cbam", "base_channels", "input_mode",
             "epochs", "batch_size", "lr0", "lr_decay", "lr_interval", "ssim_threshold",
-            "max_pair_gap", "use_ssim_gate",
-            "pair_retry_factor", "pretrain_epochs", "checkpoint_every",
+            "max_pair_gap", "seed", "use_ssim_gate", "pretrain_epochs", "checkpoint_every",
             "frames", "size", "pleura_depth", "amplitude", "frequency",
             "pleura_brightness", "pleura_thickness", "a_line_count", "a_line_decay",
             "b_lines", "speckle_strength",
-            "seed", "pair_count"]
+            "pair_count"]
 
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
-    assert main(["synth", *TINY, "--seed", "0", "--out", str(out)]) == 0
+    assert main(["synth", *TINY, "--set", "seed=0", "--out", str(out)]) == 0
     return out
 
 
 @pytest.fixture(scope="module")
 def checkpoint(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("ckpt") / "model.lusk"
-    assert main(["train", *TINY, "--seed", "0",
+    assert main(["train", *TINY, "--set", "seed=0",
                  "--data", str(dataset), "--out", str(out)]) == 0
     return out
 
@@ -112,7 +117,7 @@ class TestSynth:
 
     def test_byte_identical_for_same_seed(self, dataset, tmp_path):
         again = tmp_path / "again"
-        assert main(["synth", *TINY, "--seed", "0", "--out", str(again)]) == 0
+        assert main(["synth", *TINY, "--set", "seed=0", "--out", str(again)]) == 0
         for name in ("frame_00000.pgm", "frame_00007.pgm", "truth.txt"):
             assert (again / name).read_bytes() == (dataset / name).read_bytes()
 
@@ -210,9 +215,9 @@ class TestPipeline:
 
     def test_infer_preprocesses_as_trained(self, dataset, tmp_path, capsys):
         # the checkpoint records the input pipeline, so infer needs no --config
-        switches = ["--set", "input_mode=norm_stack", "--set", "use_tga=false"]
+        switches = ["--set", "input_mode=norm_stack", "--set", "attenuation_a=0"]
         ckpt = tmp_path / "norm.lusk"
-        assert main(["train", *TINY, *switches, "--seed", "0",
+        assert main(["train", *TINY, *switches, "--set", "seed=0",
                      "--data", str(dataset), "--out", str(ckpt)]) == 0
         config = tmp_path / "norm.cfg"
         config.write_text("\n".join(TINY[1::2] + switches[1::2]) + "\n")
@@ -226,7 +231,7 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["infer", "--config", str(config), "--ckpt", str(ckpt),
                      "--data", str(dataset), "--out", str(tmp_path / "fused")]) == 2
-        assert "use_tga" in capsys.readouterr().err
+        assert "input_mode" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -286,7 +291,6 @@ class TestExitCodes:
 
     def test_pair_exhaustion_is_numeric_error(self, dataset, tmp_path):
         code = main(["train", *TINY, "--set", "ssim_threshold=1.0",
-                     "--set", "pair_retry_factor=3",
                      "--data", str(dataset), "--out", str(tmp_path / "m.lusk")])
         assert code == 4
 
@@ -318,6 +322,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "base_channels=8" in err
 
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_non_finite_checkpoint_is_data_error(self, command, checkpoint, tmp_path, capsys):
+        # the data directory does not exist: the checkpoint must be refused first
+        records = load_tensors(checkpoint)
+        records["keynet.head.b"][0] = np.nan
+        bad = tmp_path / "nan.lusk"
+        save_tensors(bad, records)
+        missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+        argv = {"infer": ["infer", "--ckpt", str(bad), "--data", missing, "--out", out],
+                "train": ["train", *TINY, "--init", str(bad), "--data", missing,
+                          "--out", out + ".lusk"]}[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert f"{bad}: parameter keynet.head.b holds NaN" in err
+
     def test_init_cut_at_a_record_boundary_is_data_error(self, dataset, checkpoint,
                                                         tmp_path, capsys):
         # a file of the first 8 records is as long as the full file cut after them
@@ -334,7 +355,7 @@ class TestExitCodes:
         assert err.startswith("data error:") and str(cut) in err
 
     @pytest.mark.parametrize("setting", [
-        "checkpoint_every=0", "lr_interval=0", "batch_size=0", "pair_retry_factor=0",
+        "checkpoint_every=0", "lr_interval=0", "batch_size=0",
         "pretrain_epochs=0", "lr_decay=0", "lr_decay=-0.5", "lr0=nan", "lr0=inf",
         "heatmap_sigma=inf", "thresh=nan", "lambdas=3.0,nan", "lambdas=3.0,6.0,9.0",
         "input_size=0", "input_size=-4", "base_channels=0", "base_channels=-1"])
@@ -384,7 +405,7 @@ class TestExitCodes:
                      "--data", str(dataset), "--out", str(tmp_path / "pred")]) == 2
 
     @pytest.mark.parametrize("settings", [
-        ["k=7", "use_tga=false"], ["input_size=64"], ["heatmap_sigma=3.0"],
+        ["k=7", "attenuation_a=0"], ["input_size=64"], ["heatmap_sigma=3.0"],
         ["use_cbam=true"], ["base_channels=16"], ["input_mode=norm_stack"]])
     def test_infer_rejects_model_override_unlike_checkpoint(self, settings, dataset,
                                                            checkpoint, tmp_path, capsys):
@@ -413,13 +434,13 @@ class TestExitCodes:
         plain, same = tmp_path / "plain", tmp_path / "same"
         assert main(["infer", "--ckpt", str(checkpoint), "--data", str(dataset),
                      "--out", str(plain)]) == 0
-        assert main(["infer", *TINY, "--set", "use_tga=true", "--ckpt", str(checkpoint),
+        assert main(["infer", *TINY, "--set", "attenuation_a=1.5", "--ckpt", str(checkpoint),
                      "--data", str(dataset), "--out", str(same)]) == 0
         assert ((plain / "keypoints.csv").read_bytes()
                 == (same / "keypoints.csv").read_bytes())
 
     @pytest.mark.parametrize("setting", [
-        "attenuation_a=0.2", "sigma0=0.6", "thresh=0.02", "epsilon=1e-05",
+        "attenuation_a=0.2", "sigma0=0.6", "thresh=0.02",
         "lambdas=4,7,10,13,16,19,22,25,28,31"])
     def test_infer_rejects_fusion_override_unlike_checkpoint(self, setting, dataset,
                                                             checkpoint, tmp_path, capsys):
@@ -490,7 +511,7 @@ class TestCheckpointIsTheRunRecord:
     def test_infer_fuses_as_trained(self, dataset, tmp_path):
         # infer needs no setting to fuse frames with the trained attenuation
         ckpt = tmp_path / "attenuated.lusk"
-        assert main(["train", *TINY, "--set", "attenuation_a=0.2", "--seed", "0",
+        assert main(["train", *TINY, "--set", "attenuation_a=0.2", "--set", "seed=0",
                      "--data", str(dataset), "--out", str(ckpt)]) == 0
         for name, extra in (("bare", []), ("set", ["--set", "attenuation_a=0.2"])):
             assert main(["infer", *extra, "--ckpt", str(ckpt), "--data", str(dataset),

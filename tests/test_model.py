@@ -356,7 +356,7 @@ BAD_RECORD_TEXTS = {
     "no_equals": (lambda t: t + "garbage\n", "'garbage' does not parse"),
     "bad_literal": (lambda t: t.replace("k=3\n", "k=(3\n"), "'k=\\(3' does not parse"),
     "call": (lambda t: t.replace("k=3\n", "k=int(3)\n"), "does not parse"),
-    "missing": (lambda t: t.replace("use_tga=True\n", ""), "lacks use_tga"),
+    "missing": (lambda t: t.replace("use_cbam=False\n", ""), "lacks use_cbam"),
     "input_channels": (lambda t: t + "input_channels=7\n", "names no setting or repeats one"),
     "feature_stride": (lambda t: t + "feature_stride=2\n", "names no setting or repeats one"),
     "normalize": (lambda t: t + "normalize=False\n", "names no setting or repeats one"),
@@ -392,7 +392,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("change", [
         dict(k=5), dict(input_size=32), dict(heatmap_sigma=2.0), dict(use_cbam=True),
-        dict(base_channels=16), dict(use_tga=False), dict(input_mode="norm_stack")])
+        dict(base_channels=16), dict(input_mode="norm_stack")])
     def test_config_match_compares_every_field(self, change):
         with pytest.raises(ValueError, match=next(iter(change))):
             check_config_match(small_cfg(), replace(small_cfg(), **change))
@@ -443,6 +443,17 @@ class TestCheckpoint:
         edit, words = BAD_RECORD_TEXTS[case]
         path = _save_record(tmp_path, _record_values(edit(_good_record_text(tmp_path))))
         with pytest.raises(CheckpointError, match=words) as info:
+            read_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, value, tmp_path):
+        cfg = small_cfg()
+        params = init_params(cfg, np.random.default_rng(0))
+        params["keynet.head.b"].data[1] = value
+        path = tmp_path / "model.lusk"
+        save_model(path, params, cfg)
+        with pytest.raises(CheckpointError, match="parameter keynet.head.b holds NaN") as info:
             read_checkpoint(path)
         assert str(path) in str(info.value)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import lusk
+from lusk.config import _KEYS
 
 SRC = Path(lusk.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -75,3 +76,28 @@ def test_every_definition_has_a_reader_outside_tests():
               for name in top_level_definitions(path.read_text(encoding="utf-8"))
               if name not in read and (path.stem, name) not in READ_BY_TESTS_ONLY]
     assert unread == [], f"defined in src/lusk and read only by tests: {unread}"
+
+
+def attributes_read(source: str) -> set[str]:
+    """Every attribute that the code of `source` loads outside each __post_init__."""
+    tree = ast.parse(source)
+    checks = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+              for node in ast.walk(f)}
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load) and id(n) not in checks}
+
+
+def test_attribute_reader_skips_post_init():
+    source = ("class C:\n    def __post_init__(self):\n        check(self.a)\n\n"
+              "    def f(self):\n        self.c = 1\n        return self.b\n")
+    assert attributes_read(source) == {"b"}
+
+
+def test_every_setting_has_a_reader():
+    """Each config key is read by the program outside config.py, not only by
+    the check of its own dataclass."""
+    read = set().union(*(attributes_read(path.read_text(encoding="utf-8"))
+                         for path in sorted(SRC.glob("*.py")) if path.name != "config.py"))
+    unread = [key for key in _KEYS if key not in read]
+    assert unread == [], f"config keys read only in config.py or a __post_init__: {unread}"

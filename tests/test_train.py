@@ -105,7 +105,7 @@ class TestSamplePairs:
         assert len(calls) < 60  # fewer pairs scored than kept: draws repeated
 
     def test_impossible_threshold_exhausts_budget(self, small_video):
-        cfg = tiny_train_cfg(ssim_threshold=1.0, pair_retry_factor=5)
+        cfg = tiny_train_cfg(ssim_threshold=1.0)
         with pytest.raises(PairSamplingError, match="acceptance rate"):
             sample_pairs([small_video], cfg, 10, np.random.default_rng(0))
 
@@ -239,6 +239,27 @@ class TestTrain:
         from lusk.model import load_model
         params, cfg = load_model(path)
         assert cfg.k == 3 and "keynet.head.w" in params
+
+    @pytest.mark.parametrize("epochs,every,saves", [(2, 1, 2), (3, 2, 2), (1, 10, 1)])
+    def test_each_checkpoint_written_once(self, epochs, every, saves, small_video, tmp_path,
+                                          monkeypatch):
+        # the last epoch's checkpoint is the final one, written once
+        calls = []
+        save_model = model.save_model
+
+        def counted(*args):
+            calls.append(args[0])
+            save_model(*args)
+
+        monkeypatch.setattr(model, "save_model", counted)
+        path = tmp_path / "model.lusk"
+        result = train([small_video], tiny_model_cfg(), FusionConfig(),
+                       tiny_train_cfg(epochs=epochs, checkpoint_every=every,
+                                      ssim_threshold=0.5),
+                       pair_count=4, checkpoint_path=path)
+        assert calls == [path] * saves
+        params, _ = load_model(path)
+        assert all(np.array_equal(params[n].data, p.data) for n, p in result.params.items())
 
     def test_pretrained_init_flows_through(self, small_video):
         mcfg = tiny_model_cfg()
