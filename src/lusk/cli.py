@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import evaluate, fusion, model, synth, train as training
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .pgm import read_pgm, write_pgm
 from .synth import DatasetError
 from .tensor import CheckpointError, atomic_open, save_tensors
@@ -107,15 +107,10 @@ def cmd_infer(args) -> int:
         model.check_config_match(loaded, configured, None if args.config else keys)
     frames = synth.load_frames(args.data)
     os.makedirs(args.out, exist_ok=True)
-    rows, cols = frames.shape[1:]
     with atomic_open(os.path.join(args.out, "keypoints.csv")) as f:
         f.write("frame,slot,row,col\n")
         for t, frame in enumerate(frames):
             coords = model.infer_keypoints(frame, params, model_cfg, fusion_cfg)
-            # the model sees an input_size square, resized align-corners (pixel
-            # j reads source j*(rows-1)/(input_size-1)): map each axis back alike
-            coords[:, 0] *= (rows - 1) / (model_cfg.input_size - 1)
-            coords[:, 1] *= (cols - 1) / (model_cfg.input_size - 1)
             for slot, (row, col) in enumerate(coords):
                 f.write(f"{t},{slot},{float(row)!r},{float(col)!r}\n")
             write_pgm(os.path.join(args.out, f"overlay_{t:05d}.pgm"),
@@ -225,9 +220,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DatasetError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

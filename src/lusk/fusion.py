@@ -63,20 +63,6 @@ class FusionConfig:
             raise ValueError(f"attenuation_a must be >= 0, got {self.attenuation_a}")
 
 
-@dataclass
-class MonogenicTriple:
-    """Bandpassed frame plus its two Riesz-transform components."""
-
-    m1: np.ndarray
-    m2: np.ndarray
-    m3: np.ndarray
-
-    @functools.cached_property
-    def odd(self) -> np.ndarray:
-        """Odd amplitude sqrt(m2^2 + m3^2), computed on first use."""
-        return np.sqrt(self.m2 ** 2 + self.m3 ** 2)
-
-
 def minmax_normalize(x: np.ndarray) -> np.ndarray:
     """Scale to [0, 1]; a constant map normalizes to all zeros."""
     lo = x.min()
@@ -88,10 +74,7 @@ def minmax_normalize(x: np.ndarray) -> np.ndarray:
 
 def tga(frame: np.ndarray, a: float) -> np.ndarray:
     """Depth-dependent gain decay: row r is scaled by exp(-a * r/(rows-1))."""
-    if a < 0:
-        raise ValueError(f"attenuation factor must be >= 0, got {a}")
-    rows = frame.shape[0]
-    depth = np.linspace(0.0, 1.0, rows) if rows > 1 else np.zeros(1)
+    depth = np.linspace(0.0, 1.0, frame.shape[0])
     return frame * np.exp(-a * depth)[:, None]
 
 
@@ -105,18 +88,8 @@ def ibs(frame: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frequency_grids(rows: int, cols: int):
-    u = 2.0 * np.pi * np.fft.fftfreq(rows)
-    v = 2.0 * np.pi * np.fft.fftfreq(cols)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    mag = np.hypot(uu, vv)
-    return uu, vv, mag
-
-
 def log_gabor_gain(omega: np.ndarray, lambda0: float, sigma0: float) -> np.ndarray:
     """Radial log-Gabor transfer function with zero DC gain."""
-    if lambda0 <= 2.0:
-        raise ValueError(f"lambda0 must exceed 2 pixels, got {lambda0}")
     omega0 = 2.0 * np.pi / lambda0
     with np.errstate(divide="ignore"):
         ratio = np.where(omega > 0, omega / omega0, 1.0)
@@ -134,7 +107,9 @@ def _multipliers(shape: tuple, lambda0: float, sigma0: float) -> np.ndarray:
     zero: there the multiplier is not Hermitian, so with a real frame its
     inverse has a purely imaginary part, which the real component drops."""
     rows, cols = shape
-    uu, vv, mag = (grid[:, :cols // 2 + 1] for grid in _frequency_grids(rows, cols))
+    uu = 2.0 * np.pi * np.fft.fftfreq(rows)[:, None]
+    vv = 2.0 * np.pi * np.fft.rfftfreq(cols)[None, :]
+    mag = np.hypot(uu, vv)
     gain = log_gabor_gain(mag, lambda0, sigma0)
     safe = np.where(mag > 0, mag, 1.0)
     bank = np.stack([gain, 1j * (gain * uu / safe), 1j * (gain * vv / safe)])
@@ -147,45 +122,44 @@ def _multipliers(shape: tuple, lambda0: float, sigma0: float) -> np.ndarray:
 
 
 def monogenic(spectrum: np.ndarray, shape: tuple, lambda0: float,
-              sigma0: float) -> MonogenicTriple:
+              sigma0: float) -> np.ndarray:
     """Monogenic signal at one wavelength of a frame of the given shape, from
-    its half spectrum rfft2(frame): m1 is the log-Gabor bandpass, m2/m3 the
-    Riesz components along rows/columns (multipliers i*w_r/|w| and i*w_c/|w|,
-    zero at DC), all three from one half-size inverse transform."""
-    return MonogenicTriple(*fft.irfft2(spectrum * _multipliers(shape, lambda0, sigma0), s=shape))
+    its half spectrum rfft2(frame), as one (3, rows, cols) array: the
+    log-Gabor bandpass (even part), then the Riesz components along rows and
+    columns (multipliers i*w_r/|w| and i*w_c/|w|, zero at DC), all three from
+    one half-size inverse transform."""
+    return fft.irfft2(spectrum * _multipliers(shape, lambda0, sigma0), s=shape)
 
 
-def local_phase_raw(m: MonogenicTriple, epsilon: float) -> np.ndarray:
-    """1 - atan(odd / (even + eps)): maximal (= 1) at even, line-like
+def local_phase_raw(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """1 - atan(odd / (|even| + eps)): maximal (= 1) at even, line-like
     structure, falling toward 1 - pi/2 where odd energy dominates."""
-    out = np.abs(m.m1)
-    out += epsilon
-    np.divide(m.odd, out, out=out)
+    out = np.abs(even)
+    out += FusionConfig.epsilon
+    np.divide(odd, out, out=out)
     np.arctan(out, out=out)
     return np.subtract(1.0, out, out=out)
 
 
-def local_phase(m: MonogenicTriple, epsilon: float) -> np.ndarray:
+def local_phase(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """Local phase map, min-max normalized to [0, 1] per frame."""
-    return minmax_normalize(local_phase_raw(m, epsilon))
+    return minmax_normalize(local_phase_raw(even, odd))
 
 
-def phase_symmetry(m: MonogenicTriple, thresh: float, epsilon: float) -> np.ndarray:
+def phase_symmetry(even: np.ndarray, odd: np.ndarray, thresh: float) -> np.ndarray:
     """Even-symmetry detector: floor(even - odd - thresh, 0) over the local
     amplitude sqrt(even^2 + odd^2) + eps, min-max normalized to [0, 1].
 
     The even response is signed (bright-polarity), so dark troughs such as
     the negative sidelobes flanking a bright line do not respond.
     """
-    if thresh < 0:
-        raise ValueError(f"thresh must be >= 0, got {thresh}")
-    num = np.subtract(m.m1, m.odd)
+    num = np.subtract(even, odd)
     num -= thresh
     np.maximum(num, 0.0, out=num)
-    den = np.square(m.m1)
-    den += np.square(m.odd)
+    den = np.square(even)
+    den += np.square(odd)
     np.sqrt(den, out=den)
-    den += epsilon
+    den += FusionConfig.epsilon
     num /= den
     return minmax_normalize(num)
 
@@ -197,9 +171,10 @@ def fuse(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:
     spectrum = fft.rfft2(frame)
     out = np.empty((len(cfg.lambdas), *frame.shape), dtype=np.float32)
     for c, lam in enumerate(cfg.lambdas):
-        m = monogenic(spectrum, frame.shape, lam, cfg.sigma0)
-        out[c] = minmax_normalize(local_phase(m, cfg.epsilon)
-                                  * phase_symmetry(m, cfg.thresh, cfg.epsilon) * weight)
+        even, m2, m3 = monogenic(spectrum, frame.shape, lam, cfg.sigma0)
+        odd = np.sqrt(m2 ** 2 + m3 ** 2)
+        out[c] = minmax_normalize(local_phase(even, odd)
+                                  * phase_symmetry(even, odd, cfg.thresh) * weight)
     return out
 
 

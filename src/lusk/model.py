@@ -227,11 +227,16 @@ def preprocess_frame(frame: np.ndarray, cfg: ModelConfig,
 
 def infer_keypoints(frame: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig,
                     fusion_cfg: fusion.FusionConfig) -> np.ndarray:
-    """Keypoints for one frame in image pixel coordinates, shape (k, 2)."""
+    """Keypoints for one frame in its own pixel coordinates, shape (k, 2)."""
     stack = preprocess_frame(frame, cfg, fusion_cfg)
     x = Tensor(stack[None].astype(np.float32))
     rows, cols = keynet(x, params, cfg)
-    return cell_to_pixel(np.stack([rows.data[0], cols.data[0]], axis=1), cfg.feature_stride)
+    coords = cell_to_pixel(np.stack([rows.data[0], cols.data[0]], axis=1), cfg.feature_stride)
+    # the model sees an input_size square, resized align-corners (pixel j
+    # reads source j*(H-1)/(input_size-1)): map each axis back alike
+    coords[:, 0] *= (frame.shape[0] - 1) / (cfg.input_size - 1)
+    coords[:, 1] *= (frame.shape[1] - 1) / (cfg.input_size - 1)
+    return coords
 
 
 # -- checkpoints ------------------------------------------------------------

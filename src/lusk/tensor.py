@@ -169,7 +169,7 @@ class Tensor:
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return _op(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
@@ -455,8 +455,6 @@ class Adam:
     per-parameter first/second moments m and v, and the steps taken."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = params
         self.lr = lr
         self.step_count = 0

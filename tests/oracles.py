@@ -5,9 +5,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from lusk.evaluate import _SCALAR_FIELDS, EvalReport
-from lusk.fusion import (FusionConfig, MonogenicTriple, _frequency_grids, ibs,
-                         log_gabor_gain, minmax_normalize, ssim)
+from lusk.fusion import FusionConfig, ibs, log_gabor_gain, minmax_normalize, ssim
 from lusk.tensor import Tensor
+
+
+def _frequency_grids(rows: int, cols: int):
+    u = 2.0 * np.pi * np.fft.fftfreq(rows)
+    v = 2.0 * np.pi * np.fft.fftfreq(cols)
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    mag = np.hypot(uu, vv)
+    return uu, vv, mag
 
 
 def log_gabor_response(frame: np.ndarray, lambda0: float, sigma0: float) -> np.ndarray:
@@ -15,8 +22,9 @@ def log_gabor_response(frame: np.ndarray, lambda0: float, sigma0: float) -> np.n
     return np.real(np.fft.ifft2(np.fft.fft2(frame) * log_gabor_gain(mag, lambda0, sigma0)))
 
 
-def monogenic_direct(frame: np.ndarray, lambda0: float, sigma0: float) -> MonogenicTriple:
-    """O(N^4) direct-DFT oracle for monogenic()."""
+def monogenic_direct(frame: np.ndarray, lambda0: float, sigma0: float) -> np.ndarray:
+    """O(N^4) direct-DFT oracle for monogenic(): (3, rows, cols) bandpass,
+    row Riesz and column Riesz components."""
     rows, cols = frame.shape
     r = np.arange(rows)
     c = np.arange(cols)
@@ -30,9 +38,8 @@ def monogenic_direct(frame: np.ndarray, lambda0: float, sigma0: float) -> Monoge
     iec = np.conj(ec) / cols
     def inv(s):
         return np.real(ier @ s @ iec)
-    return MonogenicTriple(m1=inv(spectrum),
-                           m2=inv(spectrum * (1j * uu / safe)),
-                           m3=inv(spectrum * (1j * vv / safe)))
+    return np.stack([inv(spectrum), inv(spectrum * (1j * uu / safe)),
+                     inv(spectrum * (1j * vv / safe))])
 
 
 def fuse_composite(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lusk import fusion
-from lusk.fusion import (FusionConfig, MonogenicTriple, fuse, ibs,
-                         local_phase, local_phase_raw, log_gabor_gain,
-                         minmax_normalize, monogenic, norm_stack,
+from lusk.fusion import (FusionConfig, fuse, ibs, local_phase, local_phase_raw,
+                         log_gabor_gain, minmax_normalize, monogenic, norm_stack,
                          phase_symmetry, resize_bilinear, ssim, tga)
 from lusk.synth import SceneSpec, generate
 from oracles import fuse_composite, log_gabor_response, monogenic_direct
@@ -22,6 +21,11 @@ ODD_EVEN_SHAPES = [(15, 15), (16, 17), (31, 48)]
 
 def monogenic_of(frame, lambda0, sigma0):
     return monogenic(scipy.fft.rfft2(frame), frame.shape, lambda0, sigma0)
+
+
+def even_odd(m):
+    """The bandpass and the odd amplitude of a monogenic() array, as fuse forms them."""
+    return m[0], np.sqrt(m[1] ** 2 + m[2] ** 2)
 
 
 def line_frame(size=32, row=10, background=0.05, brightness=1.0):
@@ -43,10 +47,6 @@ class TestTga:
         out = tga(np.ones((32, 8)), 0.7)
         col = out[:, 0]
         assert np.all(np.diff(col) < 0)
-
-    def test_negative_attenuation_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            tga(np.ones((4, 4)), -0.1)
 
 
 class TestIbs:
@@ -80,22 +80,18 @@ class TestLogGabor:
         out = log_gabor_response(np.full((16, 16), 0.4), 8.0, 0.55)
         assert np.abs(out).max() < 1e-12
 
-    def test_wavelength_at_nyquist_rejected(self):
-        with pytest.raises(ValueError, match="lambda0"):
-            log_gabor_response(np.zeros((8, 8)), 2.0, 0.55)
-
 
 class TestMonogenic:
     def test_constant_frame_near_zero(self):
         m = monogenic_of(np.full((16, 16), 0.7), 6.0, 0.55)
-        for comp in (m.m1, m.m2, m.m3):
+        for comp in m:
             assert np.abs(comp).max() <= 1e-8
 
     def test_row_grating_has_no_column_component(self):
         r = np.arange(16)
         frame = np.cos(2 * np.pi * r / 8.0)[:, None] * np.ones((1, 16))
         m = monogenic_of(frame, 8.0, 0.55)
-        assert np.abs(m.m3).max() <= 1e-8
+        assert np.abs(m[2]).max() <= 1e-8
 
     def test_fft_matches_direct_dft_oracle(self):
         rng = np.random.default_rng(11)
@@ -103,9 +99,8 @@ class TestMonogenic:
             frame = rng.random(shape)
             a = monogenic_of(frame, 6.0, 0.55)
             b = monogenic_direct(frame, 6.0, 0.55)
-            assert np.abs(a.m1 - b.m1).max() < 1e-8
-            assert np.abs(a.m2 - b.m2).max() < 1e-8
-            assert np.abs(a.m3 - b.m3).max() < 1e-8
+            assert a.shape == b.shape == (3, *shape)
+            assert np.abs(a - b).max() < 1e-8
 
     def test_cached_multipliers_are_read_only(self):
         bank = fusion._multipliers((16, 16), 6.0, 0.55)
@@ -118,23 +113,22 @@ class TestMonogenic:
         frame = np.random.default_rng(12).random((16, 16))
         m = monogenic_of(frame, 6.0, 0.55)
         mt = monogenic_of(frame.T, 6.0, 0.55)
-        assert np.abs(mt.m2 - m.m3.T).max() <= 1e-8
-        assert np.abs(mt.m3 - m.m2.T).max() <= 1e-8
+        assert np.abs(mt[1] - m[2].T).max() <= 1e-8
+        assert np.abs(mt[2] - m[1].T).max() <= 1e-8
 
 
 class TestLocalPhase:
     def test_even_dominant_is_maximal(self):
         # odd energy zero -> raw LP equals the top of its range
-        m = MonogenicTriple(m1=np.ones((4, 4)), m2=np.zeros((4, 4)), m3=np.zeros((4, 4)))
-        raw = local_phase_raw(m, 1e-6)
+        even, odd = np.ones((4, 4)), np.zeros((4, 4))
+        raw = local_phase_raw(even, odd)
         assert np.allclose(raw, 1.0, atol=1e-6)
         # constant raw map normalizes to zero by convention
-        assert np.array_equal(local_phase(m, 1e-6), np.zeros((4, 4)))
+        assert np.array_equal(local_phase(even, odd), np.zeros((4, 4)))
 
     def test_raw_range_containment(self):
         rng = np.random.default_rng(3)
-        m = MonogenicTriple(*(rng.standard_normal((8, 8)) for _ in range(3)))
-        raw = local_phase_raw(m, 1e-6)
+        raw = local_phase_raw(*even_odd(rng.standard_normal((3, 8, 8))))
         assert raw.min() > 1 - np.pi / 2
         assert raw.max() <= 1 + np.pi / 2
 
@@ -142,17 +136,17 @@ class TestLocalPhase:
 class TestPhaseSymmetry:
     def test_constant_frame_is_zero(self):
         m = monogenic_of(np.full((16, 16), 0.5), 6.0, 0.55)
-        assert np.array_equal(phase_symmetry(m, 0.01, 1e-6), np.zeros((16, 16)))
+        assert np.array_equal(phase_symmetry(*even_odd(m), 0.01), np.zeros((16, 16)))
 
     def test_bright_line_localization(self):
         f = line_frame(background=0.0)
         m = monogenic_of(f, 8.0, 0.55)
-        fs = phase_symmetry(m, 0.01, 1e-6)
+        fs = phase_symmetry(*even_odd(m), 0.01)
         assert abs(int(np.argmax(fs.mean(axis=1))) - 10) <= 1
 
     def test_output_in_unit_range(self):
         m = monogenic_of(np.random.default_rng(5).random((16, 16)), 6.0, 0.55)
-        fs = phase_symmetry(m, 0.01, 1e-6)
+        fs = phase_symmetry(*even_odd(m), 0.01)
         assert fs.min() >= 0.0 and fs.max() <= 1.0
 
 
@@ -208,9 +202,9 @@ class TestFuse:
             prepared = fusion.prepare_frame(frame, 64, cfg.attenuation_a)
             stack = fuse(prepared, cfg)
             for channel, lam in zip(stack, cfg.lambdas):
-                m = monogenic_of(prepared, lam, cfg.sigma0)
-                want = minmax_normalize(local_phase(m, cfg.epsilon)
-                                        * phase_symmetry(m, cfg.thresh, cfg.epsilon)
+                even, odd = even_odd(monogenic_of(prepared, lam, cfg.sigma0))
+                want = minmax_normalize(local_phase(even, odd)
+                                        * phase_symmetry(even, odd, cfg.thresh)
                                         * (1.0 - ibs(prepared)))
                 assert np.array_equal(channel, want.astype(np.float32))
 

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from lusk import model
-from lusk.fusion import FusionConfig
+from lusk.cli import main, read_keypoints_csv
+from lusk.fusion import FusionConfig, resize_bilinear
 from lusk.model import (ModelConfig, cbam, cell_to_pixel, check_config_match,
                         check_params, encode, infer_keypoints, init_params, keynet,
                         load_model, read_checkpoint, render_heatmaps, reconstruct,
                         refine, save_model, transport)
+from lusk.pgm import read_pgm, write_pgm
 from lusk.tensor import (CheckpointError, ShapeError, Tensor, conv2d, load_tensors, mse,
                          save_tensors, upsample_conv2d)
 
@@ -316,6 +318,25 @@ class TestInference:
         pts = infer_keypoints(frame, params, cfg, FusionConfig())
         assert pts.shape == (cfg.k, 2)
         assert pts.min() >= 0.0 and pts.max() <= cfg.input_size
+
+    def test_wide_frame_keypoints_are_frame_pixels(self, tmp_path):
+        # a 32x128 frame at input_size=32: the model sees the resized square,
+        # and each axis maps back by (frame size - 1)/(input_size - 1)
+        cfg = ModelConfig(input_size=32, base_channels=8, k=3)
+        params = init_params(cfg, np.random.default_rng(0))
+        save_model(tmp_path / "m.lusk", params, cfg)
+        (tmp_path / "data").mkdir()
+        write_pgm(tmp_path / "data" / "frame_00000.pgm",
+                  np.random.default_rng(1).random((32, 128)))
+        frame = read_pgm(tmp_path / "data" / "frame_00000.pgm")
+        pts = infer_keypoints(frame, params, cfg, FusionConfig())
+        square = infer_keypoints(resize_bilinear(frame, 32, 32), params, cfg, FusionConfig())
+        assert np.array_equal(pts[:, 0], square[:, 0])
+        assert np.array_equal(pts[:, 1], square[:, 1] * np.float32(127 / 31))
+        assert main(["infer", "--ckpt", str(tmp_path / "m.lusk"), "--data",
+                     str(tmp_path / "data"), "--out", str(tmp_path / "out")]) == 0
+        written = read_keypoints_csv(tmp_path / "out" / "keypoints.csv")
+        assert np.array_equal(written, pts[None])
 
 
 def _record_values(text):
