@@ -175,6 +175,7 @@ def fuse(frame: np.ndarray, cfg: FusionConfig) -> np.ndarray:
         odd = np.sqrt(m2 ** 2 + m3 ** 2)
         out[c] = minmax_normalize(local_phase(even, odd)
                                   * phase_symmetry(even, odd, cfg.thresh) * weight)
+        del even, m2, m3, odd  # freed before the next wavelength's irfft2
     return out
 
 

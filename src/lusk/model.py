@@ -49,8 +49,8 @@ class ModelConfig:
         if self.input_size % self.feature_stride:
             raise ValueError(
                 f"input_size {self.input_size} not divisible by stride {self.feature_stride}")
-        if self.heatmap_sigma <= 0:
-            raise ValueError(f"heatmap_sigma must be > 0, got {self.heatmap_sigma}")
+        if self.heatmap_sigma < 0.1:  # cells; exp(-50) one cell out is a normal float32
+            raise ValueError(f"heatmap_sigma must be >= 0.1, got {self.heatmap_sigma}")
         if self.input_mode not in ("fused", "norm_stack"):
             raise ValueError(f"unknown input_mode {self.input_mode!r}")
 

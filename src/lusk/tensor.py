@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 import struct
@@ -19,6 +20,7 @@ from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_MAGIC = b"LUSK"
 CHECKPOINT_VERSION = 3  # v3 models keep their config as text; v1 and v2 files are refused
+GATHER_BYTES = 1 << 20  # a gathered conv column block holds at most this, nor more than its output
 
 
 class CheckpointError(ValueError):
@@ -289,31 +291,44 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold, shifts) -> Tensor:
     """Convolution as a sum of shifted GEMMs, behind conv2d and upsample_conv2d.
 
-    x is zero-padded by p and split into its s*s stride phases, each stored
-    channel-major as a (c, n*hq*wq) matrix. Shift (phase, u, v, outs, rows)
-    is one GEMM: input phase `phase` at column offset u*wq + v, times the
-    kernels of the output phases `outs`, each the sum of the kh*kw taps its
-    0/1 row of `fold[rows]` selects; the last shift reads farthest. The
-    output grid (gy, ga, gz, gb) is gy rows of ga phases by gz columns of gb
-    phases: pixel (i, y*ga + a, z*gb + b) of channel j is
-    [a*gb + b, j, (i*hq + y)*wq + z] of the (phases, o, m) GEMM buffer.
-    The weight gradient adds up shift by shift, in table order; one stacked
-    fold.T GEMM would sum in another order and change its bits.
+    x is zero-padded by p and split into its s*s stride phases, each a
+    channel-major (c, n*hq*wq) matrix. Shift (phase, u, v, outs, rows) reads
+    phase `phase` at column u*wq + v for output phases `outs` through rows
+    `rows` of the taps (kh*kw, o*c) or of `fold @ taps`; the last reads
+    farthest. Consecutive shifts with equal `outs` are one GEMM, stacked in K
+    over column blocks of at most GATHER_BYTES and the group's output bytes.
+    Output pixel (i, y*ga + a, z*gb + b) of channel j is [a*gb + b, j,
+    (i*hq + y)*wq + z] of the (phases, o, m) GEMM buffer.
     """
     (n, c, h, wd), (o, _, kh, kw) = x.shape, w.shape
     gy, ga, gz, gb = grid
     du, dv = shifts[-1][1:3]
     hq, wq = gy + du, gz + dv  # hq * s >= h + 2p, likewise wq
     m = n * hq * wq - du * wq - dv  # one past the last valid output
-    xp = np.zeros((c, n, hq * s, wq * s), x.dtype)
-    xp[:, :, p:p + h, p:p + wd] = x.data.swapaxes(0, 1)
-    ph = xp.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, c, -1)
-    kernels = fold @ w.data.transpose(2, 3, 0, 1).reshape(kh * kw, o * c)
-    dtype = np.result_type(x.data, w.data)
+    ph = np.zeros((c, n, hq * s, wq * s), x.dtype)  # padded; rebinding frees it at s=2
+    ph[:, :, p:p + h, p:p + wd] = x.data.swapaxes(0, 1)
+    ph = ph.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, c, -1)
+    kernels = w.data.transpose(2, 3, 0, 1).reshape(kh * kw, o * c)
+    kernels = kernels if fold is None else fold @ kernels
+    dtype, groups = np.result_type(x.data, w.data), []
+    for outs, grp in itertools.groupby(shifts, key=lambda shift: shift[3]):
+        offs = [(phase, u * wq + v, rows) for phase, u, v, _, rows in grp]
+        rows = slice(offs[0][2].start, offs[-1][2].stop)  # a group's rows are adjacent
+        kmat = kernels[rows].reshape(len(offs), -1, c).swapaxes(0, 1).reshape(-1, len(offs) * c)
+        blk = min(GATHER_BYTES // x.data.itemsize, len(kmat) * m) // len(kmat.T)
+        groups.append((outs, rows, kmat, offs, max(1, blk) if len(offs) > 1 else m))
+
+    def columns(offs, lo, blk):  # the group's slices of ph, stacked in K unless there is one
+        cols = [ph[phase, :, off:off + m][:, lo:lo + blk] for phase, off, _ in offs]
+        return cols[0] if len(cols) == 1 else np.concatenate(cols)
+
     out = np.zeros((ga * gb, o, m), dtype)
-    for phase, u, v, outs, rows in shifts:
-        off = u * wq + v
-        out[outs] += (kernels[rows].reshape(-1, c) @ ph[phase][:, off:off + m]).reshape(-1, o, m)
+    for outs, rows, kmat, offs, blk in groups:
+        for lo in range(0, m, blk):
+            if len(offs) == 1:  # one block, added into phases other shifts also feed
+                out[outs] += (kmat @ columns(offs, lo, blk)).reshape(-1, o, m)
+            else:  # conv2d's taps, written into phase 0, which is theirs alone
+                np.matmul(kmat, columns(offs, lo, blk), out=out[outs.start, :, lo:lo + blk])
     view, steps = (n, o, gy, ga, gz, gb), (hq * wq, m, wq, gb * o * m, 1, o * m)
     out_data = as_strided(out, view, [out.itemsize * k for k in steps],
                           writeable=False).copy().reshape(n, o, gy * ga, gz * gb)
@@ -324,12 +339,14 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold,
         as_strided(go, view, [go.itemsize * k for k in steps])[...] = g.reshape(view)
         gtaps = np.zeros((kh * kw, o * c), dtype)
         gph = np.zeros(ph.shape, dtype) if x.requires_grad else None
-        for phase, u, v, outs, rows in shifts:
-            off = u * wq + v
+        for outs, rows, kmat, offs, blk in groups:
             gs = go[outs].reshape(-1, m)
-            gtaps += fold[rows].T @ (gs @ ph[phase][:, off:off + m].T).reshape(-1, o * c)
-            if gph is not None:
-                gph[phase][:, off:off + m] += kernels[rows].reshape(-1, c).T @ gs
+            gk = sum(gs[:, lo:lo + blk] @ columns(offs, lo, blk).T for lo in range(0, m, blk))
+            for k, (phase, off, _) in enumerate(offs if gph is not None else ()):
+                gph[phase, :, off:off + m] += kmat[:, k * c:k * c + c].T @ gs
+            gk = gk.reshape(-1, len(offs), c).swapaxes(0, 1).reshape(-1, o * c)
+            dst, update = (gtaps[rows], gk) if fold is None else (gtaps, fold[rows].T @ gk)
+            dst += update
         w._accumulate(gtaps.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
         if gph is not None:
             gx = gph.reshape(s, s, c, n, hq, wq).transpose(3, 2, 4, 0, 5, 1)
@@ -341,25 +358,22 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold,
 
 @functools.lru_cache(maxsize=None)
 def _conv_shifts(kh: int, kw: int, s: int):
-    """(fold, shifts) of a kh x kw kernel at stride s: tap (i, j) alone reads
-    stride phase (i % s, j % s) at row i // s, column j // s."""
-    fold = np.eye(kh * kw, dtype=np.float32)
-    fold.setflags(write=False)
-    return fold, tuple(((i % s) * s + j % s, i // s, j // s, slice(0, 1), slice(t, t + 1))
-                       for t, (i, j) in enumerate(np.ndindex(kh, kw)))
+    """Tap (i, j) of a kh x kw kernel at stride s reads phase (i%s, j%s) at (i//s, j//s)."""
+    return tuple(((i % s) * s + j % s, i // s, j // s, slice(0, 1), slice(t, t + 1))
+                 for t, (i, j) in enumerate(np.ndindex(kh, kw)))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) plus bias, NCHW layout, zero padding;
     odd kernels at stride 1 or 2, so every input pixel lies in the buffer.
-    Each kernel tap is one GEMM on a stride phase of the padded input."""
+    All kernel taps share one GEMM on the stride phases of the padded input."""
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
     (n, c, h, wd), (o, _, kh, kw), s, p = x.shape, w.shape, stride, padding
     hp, wp = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
     if min(hp, wp) < 1 or b.shape != (o,) or s not in (1, 2) or not kh % 2 == kw % 2 == 1:
         raise ShapeError(f"conv2d (stride {s})", x.shape, w.shape, b.shape)
-    return _polyphase_conv(x, w, b, s, p, (hp, 1, wp, 1), *_conv_shifts(kh, kw, s))
+    return _polyphase_conv(x, w, b, s, p, (hp, 1, wp, 1), None, _conv_shifts(kh, kw, s))
 
 
 def _upsample_shifts():
@@ -475,7 +489,7 @@ class Adam:
             if g.shape != p.data.shape:
                 raise ShapeError(f"adam_step[{name}]", g.shape, p.data.shape)
             if not np.all(np.isfinite(g)):
-                raise ValueError(f"non-finite gradient for parameter '{name}'")
+                raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
             m = self.m[name]
             v = self.v[name]
             m *= ADAM_BETA1

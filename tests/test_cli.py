@@ -359,7 +359,8 @@ class TestExitCodes:
         "pretrain_epochs=0", "lr_decay=0", "lr_decay=-0.5", "lr0=nan", "lr0=inf",
         "heatmap_sigma=inf", "thresh=nan", "lambdas=3.0,nan", "lambdas=3.0,6.0,9.0",
         "input_size=0", "input_size=-4", "base_channels=0", "base_channels=-1",
-        "thresh=-0.1", "attenuation_a=-0.5", "lambdas=2,4,6,8,10,12,14,16,18,20"])
+        "thresh=-0.1", "attenuation_a=-0.5", "lambdas=2,4,6,8,10,12,14,16,18,20",
+        "heatmap_sigma=1e-200", "heatmap_sigma=1e-20"])
     @pytest.mark.parametrize("command", ["pretrain", "train"])
     def test_bad_train_setting_is_config_error(self, command, setting, tmp_path, capsys):
         # the data directory does not exist: the setting must be rejected first
