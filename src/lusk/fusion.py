@@ -198,28 +198,32 @@ _SSIM_WINDOW = _gaussian_window(SSIM_WINDOW_SIZE, 1.5)
 _SSIM_WINDOW.flags.writeable = False
 
 
-def ssim(frame_a: np.ndarray, frame_b: np.ndarray) -> float:
-    """Mean local SSIM over valid positions of frames in [0, 1], with an
-    11x11 Gaussian window of sigma 1.5."""
-    if frame_a.shape != frame_b.shape:
-        raise ValueError(
-            f"ssim: frame shapes differ, {frame_a.shape} vs {frame_b.shape}")
-    if min(frame_a.shape) < SSIM_WINDOW_SIZE:  # "valid" fftconvolve would swap its inputs
-        raise ValueError(f"ssim: {frame_a.shape} frames are smaller than the "
+def _smooth(x: np.ndarray) -> np.ndarray:
+    return fftconvolve(x, _SSIM_WINDOW, mode="valid")
+
+
+def ssim_moments(frame: np.ndarray) -> tuple:
+    """(a, smooth(a), smooth(a*a)) of a frame as float64: the per-frame half
+    of SSIM, computed once so each pair of frames costs one more smoothing."""
+    if min(frame.shape) < SSIM_WINDOW_SIZE:  # "valid" fftconvolve would swap its inputs
+        raise ValueError(f"ssim: {frame.shape} frames are smaller than the "
                          f"{SSIM_WINDOW_SIZE}x{SSIM_WINDOW_SIZE} window")
-    a = frame_a.astype(np.float64)
-    b = frame_b.astype(np.float64)
+    a = np.asarray(frame, np.float64)
+    return a, _smooth(a), _smooth(a * a)
+
+
+def ssim(moments_a: tuple, moments_b: tuple) -> float:
+    """Mean local SSIM over valid positions of two frames in [0, 1], given
+    their ssim_moments, with an 11x11 Gaussian window of sigma 1.5."""
+    a, mu_a, sq_a = moments_a
+    b, mu_b, sq_b = moments_b
+    if a.shape != b.shape:
+        raise ValueError(f"ssim: frame shapes differ, {a.shape} vs {b.shape}")
     c1 = 0.01 ** 2
     c2 = 0.03 ** 2
-
-    def smooth(x):
-        return fftconvolve(x, _SSIM_WINDOW, mode="valid")
-
-    mu_a = smooth(a)
-    mu_b = smooth(b)
-    var_a = smooth(a * a) - mu_a ** 2
-    var_b = smooth(b * b) - mu_b ** 2
-    cov = smooth(a * b) - mu_a * mu_b
+    var_a = sq_a - mu_a ** 2
+    var_b = sq_b - mu_b ** 2
+    cov = _smooth(a * b) - mu_a * mu_b
     s = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2))
     return float(s.mean())

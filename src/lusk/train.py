@@ -81,7 +81,8 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
 
     With the SSIM gate on, pairs below the threshold are rejected and
     resampled; runs out of retries with a diagnostic acceptance rate.
-    SSIM is symmetric, so each unordered frame pair is scored once.
+    Each drawn frame's SSIM moments are computed once, and SSIM is
+    symmetric, so each unordered frame pair is scored once.
     """
     for v, frames in enumerate(videos):
         if len(frames) < 2:
@@ -91,6 +92,7 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
                                f"{fusion.SSIM_WINDOW_SIZE}x{fusion.SSIM_WINDOW_SIZE} SSIM window")
     pairs: list[PairSample] = []
     scores: dict[tuple[int, int, int], float] = {}
+    moments: dict[tuple[int, int], tuple] = {}  # (video, frame) -> ssim_moments
     attempts = 0
     budget = PAIR_RETRY_FACTOR * count
     while len(pairs) < count:
@@ -110,7 +112,10 @@ def sample_pairs(videos, cfg: TrainConfig, count: int,
             continue
         key = (v, min(i, j), max(i, j))
         if key not in scores:
-            scores[key] = fusion.ssim(videos[v][i], videos[v][j])
+            for f in (i, j):
+                if (v, f) not in moments:
+                    moments[v, f] = fusion.ssim_moments(videos[v][f])
+            scores[key] = fusion.ssim(moments[v, i], moments[v, j])
         s = scores[key]
         if cfg.use_ssim_gate and s < cfg.ssim_threshold:
             continue

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lusk.evaluate import _SCALAR_FIELDS, EvalReport
-from lusk.fusion import FusionConfig, ibs, log_gabor_gain, minmax_normalize, ssim
+from lusk.fusion import FusionConfig, ibs, log_gabor_gain, minmax_normalize, ssim, ssim_moments
 from lusk.tensor import Tensor
 
 
@@ -73,7 +73,7 @@ def sample_pairs_naive(videos, cfg, count: int, rng: np.random.Generator) -> lis
         j = int(rng.integers(max(0, i - cfg.max_pair_gap), min(n - 1, i + cfg.max_pair_gap) + 1))
         if j == i:
             continue
-        s = ssim(videos[v][i], videos[v][j])
+        s = ssim(ssim_moments(videos[v][i]), ssim_moments(videos[v][j]))
         if cfg.use_ssim_gate and s < cfg.ssim_threshold:
             continue
         pairs.append((v, i, j, s))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lusk import fusion
 from lusk.fusion import (FusionConfig, fuse, ibs, local_phase, local_phase_raw,
                          log_gabor_gain, minmax_normalize, monogenic, norm_stack,
-                         phase_symmetry, resize_bilinear, ssim, tga)
+                         phase_symmetry, resize_bilinear, ssim, ssim_moments, tga)
 from lusk.synth import SceneSpec, generate
 from oracles import fuse_composite, log_gabor_response, monogenic_direct
 
@@ -321,13 +321,13 @@ def _ssim_oracle(a, b, window, c1=0.01 ** 2, c2=0.03 ** 2):
 class TestSsim:
     def test_identical_frames(self):
         f = np.random.default_rng(0).random((16, 16))
-        assert abs(ssim(f, f) - 1.0) < 1e-12
+        assert abs(ssim(ssim_moments(f), ssim_moments(f)) - 1.0) < 1e-12
 
     def test_constant_frames_closed_form(self):
         a, b = 0.25, 0.75
         c1 = 0.01 ** 2
         expected = (2 * a * b + c1) / (a * a + b * b + c1)
-        got = ssim(np.full((16, 16), a), np.full((16, 16), b))
+        got = ssim(ssim_moments(np.full((16, 16), a)), ssim_moments(np.full((16, 16), b)))
         assert abs(got - expected) < 1e-9
 
     def test_matches_per_window_oracle(self):
@@ -335,23 +335,24 @@ class TestSsim:
         win = fusion._gaussian_window(11, 1.5)
         for _ in range(3):
             a, b = rng.random((16, 16)), rng.random((16, 16))
-            assert abs(ssim(a, b) - _ssim_oracle(a, b, win)) < 1e-10
+            assert abs(ssim(ssim_moments(a), ssim_moments(b)) - _ssim_oracle(a, b, win)) < 1e-10
 
     def test_symmetry(self):
         rng = np.random.default_rng(10)
         a, b = rng.random((16, 16)), rng.random((16, 16))
         # exact: train.sample_pairs scores each unordered pair once
-        assert ssim(a, b) == ssim(b, a)
+        ma, mb = ssim_moments(a), ssim_moments(b)
+        assert ssim(ma, mb) == ssim(mb, ma)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes differ"):
-            ssim(np.zeros((16, 16)), np.zeros((16, 17)))
+            ssim(ssim_moments(np.zeros((16, 16))), ssim_moments(np.zeros((16, 17))))
 
     @pytest.mark.parametrize("shape", [(8, 8), (10, 40)], ids=["8x8", "10x40"])
     def test_frames_smaller_than_window_rejected(self, shape):
         # a "valid" fftconvolve would convolve the window by an 8x8 frame
         with pytest.raises(ValueError, match="frames are smaller than the 11x11 window") as info:
-            ssim(np.zeros(shape), np.zeros(shape))
+            ssim(ssim_moments(np.zeros(shape)), ssim_moments(np.zeros(shape)))
         assert str(shape) in str(info.value)
 
 

@@ -92,17 +92,48 @@ class TestSamplePairs:
     def test_one_ssim_per_unordered_pair(self, small_video, monkeypatch):
         videos = [small_video, generate(SceneSpec(frames=9, size=32, seed=1))[0]]
         calls = Counter()
+        moment_calls = Counter()
         ssim = fusion.ssim
+        ssim_moments = fusion.ssim_moments
 
         def counted(a, b):
-            calls[frozenset((a.tobytes(), b.tobytes()))] += 1
+            calls[frozenset((a[0].tobytes(), b[0].tobytes()))] += 1
             return ssim(a, b)
 
+        def counted_moments(frame):
+            moment_calls[frame.tobytes()] += 1
+            return ssim_moments(frame)
+
         monkeypatch.setattr(fusion, "ssim", counted)
+        monkeypatch.setattr(fusion, "ssim_moments", counted_moments)
         cfg = tiny_train_cfg(ssim_threshold=0.5, max_pair_gap=3)
         sample_pairs(videos, cfg, 60, np.random.default_rng(4))
         assert set(calls.values()) == {1}
         assert len(calls) < 60  # fewer pairs scored than kept: draws repeated
+        assert set(moment_calls.values()) == {1}  # once per (video, frame)
+        assert set(moment_calls) == set().union(*calls)  # only the frames scored
+
+    def test_one_convolution_per_pair_after_the_moments(self, small_video, monkeypatch):
+        videos = [small_video, generate(SceneSpec(frames=9, size=32, seed=1))[0]]
+        convolutions = 0
+        scored = set()
+        fftconvolve, ssim = fusion.fftconvolve, fusion.ssim
+
+        def counted_fftconvolve(*args, **kwargs):
+            nonlocal convolutions
+            convolutions += 1
+            return fftconvolve(*args, **kwargs)
+
+        def counted_ssim(a, b):
+            scored.add(frozenset((a[0].tobytes(), b[0].tobytes())))
+            return ssim(a, b)
+
+        monkeypatch.setattr(fusion, "fftconvolve", counted_fftconvolve)
+        monkeypatch.setattr(fusion, "ssim", counted_ssim)
+        cfg = tiny_train_cfg(ssim_threshold=0.5, max_pair_gap=3)
+        sample_pairs(videos, cfg, 60, np.random.default_rng(4))
+        assert len(scored) > 0
+        assert convolutions == 2 * len(set().union(*scored)) + len(scored)
 
     def test_impossible_threshold_exhausts_budget(self, small_video):
         cfg = tiny_train_cfg(ssim_threshold=1.0)
