@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import evaluate, fusion, model, synth, train as training
-from .config import RunConfig, load_config
+from .config import load_config
 from .pgm import read_pgm, write_pgm
 from .synth import DatasetError
 from .tensor import CheckpointError, atomic_open, save_tensors
@@ -24,12 +24,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _run_config(args) -> RunConfig:
-    return load_config(args.config, args.set or ())
-
-
 def cmd_synth(args) -> int:
-    cfg = _run_config(args)
+    cfg = load_config(args.config, args.set or ())
     video, truth = synth.generate(cfg.scene)
     synth.save_dataset(video, truth, args.out)
     print(f"wrote {len(video)} frames to {args.out}")
@@ -37,7 +33,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    cfg = _run_config(args)
+    cfg = load_config(args.config, args.set or ())
     stack = model.preprocess_frame(read_pgm(args.infile), cfg.model, cfg.fusion)
     os.makedirs(args.out, exist_ok=True)
     for i, channel in enumerate(stack):
@@ -59,7 +55,7 @@ def _check_checkpoint_path(path):
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _run_config(args)
+    cfg = load_config(args.config, args.set or ())
     _check_checkpoint_path(args.out)
     frames = synth.load_frames(args.data)
     stacks = training.compute_stacks([frames], cfg.model, cfg.fusion)[0]
@@ -70,14 +66,13 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args)
+    cfg = load_config(args.config, args.set or ())
     _check_checkpoint_path(args.out)
     init = None
     if args.init:
         init, init_cfg, init_fusion = model.read_checkpoint(args.init)
         model.check_config_match(init_cfg, cfg.model)
         model.check_config_match(init_fusion, cfg.fusion)
-        model.check_params(init, cfg.model, args.init)
     frames = synth.load_frames(args.data)
     result = training.train([frames], cfg.model, cfg.fusion, cfg.train,
                             cfg.pair_count, init=init, checkpoint_path=args.out)
@@ -98,9 +93,8 @@ def _overlay(frame: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 def cmd_infer(args) -> int:
-    cfg = _run_config(args)
-    params, model_cfg, fusion_cfg = model.read_checkpoint(args.ckpt)
-    model.check_params(params, model_cfg, args.ckpt, required="keynet.")
+    cfg = load_config(args.config, args.set or ())
+    params, model_cfg, fusion_cfg = model.read_checkpoint(args.ckpt, required="keynet.")
     # the checkpoint fixes model and fusion: --config, and any such key --set gives, must agree
     keys = {item.partition("=")[0].strip() for item in args.set or ()}
     for loaded, configured in ((model_cfg, cfg.model), (fusion_cfg, cfg.fusion)):
@@ -122,18 +116,18 @@ def cmd_infer(args) -> int:
 def read_keypoints_csv(path) -> np.ndarray:
     """(frames, k, 2) keypoints; frames 0..T-1 each list slots 0..k-1 once."""
     rows: dict[int, list] = {}
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "frame,slot,row,col":
-            raise DatasetError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(f, 2):
-            try:
-                t, slot, r, c = line.strip().split(",")
-                t, slot, rc = int(t), int(slot), (synth.finite_float(r), synth.finite_float(c))
-            except ValueError:
-                raise DatasetError(
-                    f"{path}:{lineno}: malformed line {line.strip()!r}") from None
-            rows.setdefault(t, []).append((slot, rc))
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()  # bytes split as text mode's universal newlines do
+    header = lines[0].strip() if lines else b""
+    if header != b"frame,slot,row,col":
+        raise DatasetError(f"{path}: unexpected header {header!r}")
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            t, slot, r, c = line.decode("utf-8").strip().split(",")
+            t, slot, rc = int(t), int(slot), (synth.finite_float(r), synth.finite_float(c))
+        except ValueError:
+            raise DatasetError(f"{path}:{lineno}: malformed line {line.strip()!r}") from None
+        rows.setdefault(t, []).append((slot, rc))
     if not rows:
         raise DatasetError(f"{path}: no keypoints")
     frames = range(len(rows))

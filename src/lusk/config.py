@@ -128,7 +128,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
         try:
             with open(path, encoding="utf-8") as f:
                 text = f.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         values = parse_config(text, source=str(path))
     for item in overrides:

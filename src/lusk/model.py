@@ -73,10 +73,8 @@ def _conv_param(rng, params, name, c_out, c_in, k):
 
 def _cbam_params(rng, params, prefix, channels):
     hidden = max(channels // CBAM_REDUCTION, 1)
-    params[f"{prefix}.ca_w1"] = glorot_uniform(rng, (channels, hidden), channels, hidden)
-    params[f"{prefix}.ca_b1"] = Tensor(np.zeros(hidden, dtype=np.float32), requires_grad=True)
-    params[f"{prefix}.ca_w2"] = glorot_uniform(rng, (hidden, channels), hidden, channels)
-    params[f"{prefix}.ca_b2"] = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+    _conv_param(rng, params, f"{prefix}.ca1", hidden, channels, 1)
+    _conv_param(rng, params, f"{prefix}.ca2", channels, hidden, 1)
     _conv_param(rng, params, f"{prefix}.sa", 1, 2, 7)
 
 
@@ -96,18 +94,16 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
 
 
 def cbam(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    """Channel attention (shared MLP on avg/max pooled descriptors) followed
-    by spatial attention (7x7 conv over channel-wise avg/max maps)."""
-    n, c, h, w = x.shape
+    """Channel attention (shared MLP, two 1x1 convs, on avg/max pooled
+    descriptors) followed by spatial attention (7x7 conv over channel-wise
+    avg/max maps)."""
 
     def mlp(v: Tensor) -> Tensor:
-        hid = (v @ params[f"{prefix}.ca_w1"] + params[f"{prefix}.ca_b1"]).relu()
-        return hid @ params[f"{prefix}.ca_w2"] + params[f"{prefix}.ca_b2"]
+        hid = conv2d(v, params[f"{prefix}.ca1.w"], params[f"{prefix}.ca1.b"]).relu()
+        return conv2d(hid, params[f"{prefix}.ca2.w"], params[f"{prefix}.ca2.b"])
 
-    avg = x.mean(axis=(2, 3))
-    mx = x.max(axis=(2, 3))
-    gate = (mlp(avg) + mlp(mx)).sigmoid().reshape(n, c, 1, 1)
-    x = x * gate
+    gate = mlp(x.mean(axis=(2, 3), keepdims=True)) + mlp(x.max(axis=(2, 3), keepdims=True))
+    x = x * gate.sigmoid()
     desc = concat([x.mean(axis=1, keepdims=True), x.max(axis=1, keepdims=True)], axis=1)
     sgate = conv2d(desc, params[f"{prefix}.sa.w"], params[f"{prefix}.sa.b"],
                    padding=3).sigmoid()
@@ -126,9 +122,6 @@ def _stage(x, params, name, cfg, cbam_prefix=None):
 
 def encode(stack: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     """Stride-4 convolutional encoder; (N, 10, S, S) -> (N, C, S/4, S/4)."""
-    if stack.ndim != 4 or stack.shape[1] != cfg.input_channels:
-        raise ShapeError("encode", stack.shape,
-                         (-1, cfg.input_channels, cfg.input_size, cfg.input_size))
     h = _stage(stack, params, "encoder.conv1", cfg, "encoder.cbam1")
     return _stage(h, params, "encoder.conv2", cfg, "encoder.cbam2")
 
@@ -151,9 +144,6 @@ def keynet(stack: Tensor, params: dict[str, Tensor], cfg: ModelConfig):
 
     Returns (rows, cols), each (N, k) in feature-grid cells.
     """
-    if stack.ndim != 4 or stack.shape[1] != cfg.input_channels:
-        raise ShapeError("keynet", stack.shape,
-                         (-1, cfg.input_channels, cfg.input_size, cfg.input_size))
     h = _stage(stack, params, "keynet.conv1", cfg)
     h = _stage(h, params, "keynet.conv2", cfg)
     logits = conv2d(h, params["keynet.head.w"], params["keynet.head.b"])
@@ -186,8 +176,6 @@ def refine(phi: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     intermediate), instance norm and ReLU between them, sigmoid output in
     [0, 1] with exactly input_channels channels. Encoder pretraining trains
     it too, then discards it."""
-    if phi.ndim != 4 or phi.shape[1] != cfg.feature_channels:
-        raise ShapeError("refine", phi.shape, (-1, cfg.feature_channels, -1, -1))
     h = upsample_conv2d(phi, params["refine.conv1.w"], params["refine.conv1.b"])
     h = instance_norm(h).relu()
     h = upsample_conv2d(h, params["refine.conv2.w"], params["refine.conv2.b"])
@@ -264,10 +252,12 @@ def save_model(path, params: dict[str, Tensor], cfg: ModelConfig,
     save_tensors(path, {_CONFIG_RECORD: record, **params})
 
 
-def read_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig, fusion.FusionConfig]:
+def read_checkpoint(path, required=()) -> tuple[dict[str, Tensor], ModelConfig,
+                                                fusion.FusionConfig]:
     """Parameters (requiring no gradient), model and fusion config of a
-    checkpoint; a malformed config record or a non-finite parameter raises
-    CheckpointError."""
+    checkpoint. Raises CheckpointError on a malformed config record, or
+    unless the parameters are finite and are init_params of that config at
+    their shapes, less those whose names do not start with `required`."""
     records = load_tensors(path)
     if _CONFIG_RECORD not in records:
         raise CheckpointError(f"{path}: missing config record")
@@ -298,8 +288,13 @@ def read_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig, fusion.Fusion
         raise CheckpointError(f"{path}: config record lacks {exc.args[0]}") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    for name, arr in records.items():
-        if not np.isfinite(arr).all():
+    shapes = {name: p.shape for name, p in init_params(cfg, np.random.default_rng(0)).items()}
+    for name in sorted(records.keys() | {n for n in shapes if n.startswith(required)}):
+        got, want = records[name].shape if name in records else None, shapes.get(name)
+        if got != want:
+            raise CheckpointError(f"{path}: parameter {name} has shape {got} in the checkpoint "
+                                  f"and {want} in the model its config describes")
+        if not np.isfinite(records[name]).all():
             raise CheckpointError(f"{path}: parameter {name} holds NaN or an infinity")
     return {name: Tensor(arr) for name, arr in records.items()}, cfg, fusion_cfg
 
@@ -307,17 +302,6 @@ def read_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig, fusion.Fusion
 def load_model(path) -> tuple[dict[str, Tensor], ModelConfig]:
     """read_checkpoint without the fusion config."""
     return read_checkpoint(path)[:2]
-
-
-def check_params(params: dict[str, Tensor], cfg: ModelConfig, path, required=()):
-    """Raise CheckpointError unless params are init_params(cfg) at their
-    shapes, less those whose names do not start with `required`."""
-    shapes = {name: p.shape for name, p in init_params(cfg, np.random.default_rng(0)).items()}
-    for name in sorted(params.keys() | {n for n in shapes if n.startswith(required)}):
-        got = getattr(params.get(name), "shape", None)
-        if got != shapes.get(name):
-            raise CheckpointError(f"{path}: parameter {name} has shape {got} in the "
-                                  f"checkpoint and {shapes.get(name)} in the configured model")
 
 
 def check_config_match(loaded, expected, fields=None):

@@ -177,17 +177,18 @@ def finite_float(text: str) -> float:
 
 def load_truth(path) -> GroundTruth:
     truth = GroundTruth()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            fields = line.split()
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()  # bytes split as text mode's universal newlines do
+    for lineno, line in enumerate(lines, 1):
+        try:
+            fields = line.decode("utf-8").split()
             if not fields:
                 continue
-            try:
-                a_at = fields.index("A")
-                b_at = fields.index("B")
-                truth.pleura_rows.append(finite_float(fields[0]))
-                truth.a_line_rows.append([finite_float(x) for x in fields[a_at + 1:b_at]])
-                truth.b_line_cols.append([finite_float(x) for x in fields[b_at + 1:]])
-            except (ValueError, IndexError) as exc:
-                raise DatasetError(f"{path}:{lineno}: malformed truth line") from exc
+            a_at = fields.index("A")
+            b_at = fields.index("B")
+            truth.pleura_rows.append(finite_float(fields[0]))
+            truth.a_line_rows.append([finite_float(x) for x in fields[a_at + 1:b_at]])
+            truth.b_line_cols.append([finite_float(x) for x in fields[b_at + 1:]])
+        except (ValueError, IndexError) as exc:
+            raise DatasetError(f"{path}:{lineno}: malformed truth line") from exc
     return truth

@@ -199,21 +199,6 @@ class Tensor:
         return _op(self.data.reshape(shape), (self,),
                    lambda g: self._accumulate(g.reshape(old)))
 
-    # -- matrix multiply ---------------------------------------------------------
-
-    def matmul(self, other: "Tensor"):
-        other = Tensor._lift(other, self)
-        if self.ndim != 2 or other.ndim != 2 or self.shape[1] != other.shape[0]:
-            raise ShapeError("matmul", self.shape, other.shape)
-
-        def backward(g):
-            self._accumulate(g @ other.data.T)
-            other._accumulate(self.data.T @ g)
-
-        return _op(self.data @ other.data, (self, other), backward)
-
-    __matmul__ = matmul
-
     # -- backward pass -------------------------------------------------------------
 
     def backward(self):

@@ -41,7 +41,6 @@ _OPS = [
     ("exp", lambda a: (a * 0.3).exp().sum(), [(4, 4)]),
     ("sigmoid", lambda a: a.sigmoid().sum(), [(5, 5)]),
     ("relu", lambda a: (a + 0.6).relu().sum(), [(4, 4)]),
-    ("matmul", lambda a, b: (a @ b).sum(), [(3, 4), (4, 2)]),
     ("mean", lambda a: (a * a).mean(axis=(0, 1)), [(4, 4)]),
     ("max", lambda a: a.max(axis=1).sum(), [(4, 6)]),
     ("concat", lambda a, b: _square(concat([a, b], axis=1)).sum(), [(2, 3), (2, 2)]),

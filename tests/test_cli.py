@@ -41,6 +41,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/run.cfg")
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"k=6\n# \xff\n")
+        with pytest.raises(ConfigError, match="cannot read config") as info:
+            load_config(path)
+        assert str(path) in str(info.value)
+
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed=1\nk=4\n")
@@ -682,12 +689,15 @@ BAD_CSVS = {
     "renumbered_frame": GOOD_CSV[:27] + ["12" + line[1:] for line in GOOD_CSV[27:]],
     "nan_row": ["0,0,nan,3\n"] + GOOD_CSV[1:],
     "inf_col": GOOD_CSV[:3] + ["1,0,15,inf\n"] + GOOD_CSV[4:],
+    "not_utf8": GOOD_CSV[:4] + ["1,1,11.0,5.0\xff\n"] + GOOD_CSV[5:],
 }
 
 
 def _write_pred(directory, lines):
     directory.mkdir()
-    (directory / "keypoints.csv").write_text("frame,slot,row,col\n" + "".join(lines))
+    # latin-1 writes "\xff" as the byte 0xff, which is no UTF-8
+    (directory / "keypoints.csv").write_text("frame,slot,row,col\n" + "".join(lines),
+                                             encoding="latin-1")
     return directory
 
 

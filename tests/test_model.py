@@ -7,13 +7,13 @@ import pytest
 from lusk import model
 from lusk.cli import main, read_keypoints_csv
 from lusk.fusion import FusionConfig, resize_bilinear
-from lusk.model import (ModelConfig, cbam, cell_to_pixel, check_config_match,
-                        check_params, encode, infer_keypoints, init_params, keynet,
-                        load_model, read_checkpoint, render_heatmaps, reconstruct,
-                        refine, save_model, transport)
+from lusk.model import (ModelConfig, cbam, cell_to_pixel, check_config_match, encode,
+                        infer_keypoints, init_params, keynet, load_model, read_checkpoint,
+                        render_heatmaps, reconstruct, refine, save_model, transport)
 from lusk.pgm import read_pgm, write_pgm
 from lusk.tensor import (CheckpointError, ShapeError, Tensor, conv2d, load_tensors, mse,
                          save_tensors, upsample_conv2d)
+from oracles import gradcheck
 
 
 def small_cfg(**kw):
@@ -48,7 +48,7 @@ class TestEncode:
     def test_wrong_channel_count_rejected(self):
         cfg = small_cfg()
         params = init_params(cfg, np.random.default_rng(0))
-        with pytest.raises(ShapeError, match="encode"):
+        with pytest.raises(ShapeError, match="conv2d"):
             encode(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)), params, cfg)
 
 
@@ -291,10 +291,10 @@ class TestCbam:
     def test_saturated_gates_identity(self):
         cfg = small_cfg(use_cbam=True)
         params = init_params(cfg, np.random.default_rng(0))
-        for name in ("ca_w1", "ca_w2", "sa.w"):
+        for name in ("ca1.w", "ca2.w", "sa.w"):
             params[f"encoder.cbam1.{name}"].data[:] = 0.0
-        params["encoder.cbam1.ca_b1"].data[:] = 0.0
-        params["encoder.cbam1.ca_b2"].data[:] = 50.0
+        params["encoder.cbam1.ca1.b"].data[:] = 0.0
+        params["encoder.cbam1.ca2.b"].data[:] = 50.0
         params["encoder.cbam1.sa.b"].data[:] = 50.0
         x = Tensor(np.random.default_rng(4).random((1, 32, 8, 8)).astype(np.float32))
         out = cbam(x, params, "encoder.cbam1")
@@ -304,6 +304,22 @@ class TestCbam:
         cfg = small_cfg(use_cbam=True)
         params = init_params(cfg, np.random.default_rng(0))
         assert encode(rand_stack(cfg), params, cfg).shape == (1, 64, 16, 16)
+
+    def test_gradcheck(self):
+        # 16 channels keep a hidden width of 2 in the shared MLP
+        params = init_params(small_cfg(use_cbam=True, base_channels=16),
+                             np.random.default_rng(0))
+        names = [f"encoder.cbam1.{n}" for n in ("ca1.w", "ca1.b", "ca2.w", "ca2.b",
+                                                 "sa.w", "sa.b")]
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((2, 16, 6, 6)))
+        weights = Tensor(rng.random((2, 16, 6, 6)))
+
+        def fn(x, *tensors):
+            return (cbam(x, dict(zip(names, tensors)), "encoder.cbam1") * weights).sum()
+
+        rep = gradcheck(fn, inputs=[x] + [params[n] for n in names], seed=2)
+        assert rep.passed, rep
 
 
 class TestInference:
@@ -478,19 +494,32 @@ class TestCheckpoint:
             read_checkpoint(path)
         assert str(path) in str(info.value)
 
-    def test_check_params_rejects_unknown_and_misshapen(self):
+    def test_check_params_rejects_unknown_and_misshapen(self, tmp_path):
         cfg = small_cfg()
         params = init_params(cfg, np.random.default_rng(0))
-        check_params(params, cfg, "m.lusk", required="keynet.")
+        path = tmp_path / "m.lusk"
+        save_model(path, params, cfg)
+        read_checkpoint(path, required="keynet.")
+        save_model(path, {**params, "extra.w": params["keynet.head.w"]}, cfg)
         with pytest.raises(CheckpointError, match="extra.w has shape .* and None in the"):
-            check_params({**params, "extra.w": params["keynet.head.w"]}, cfg, "m.lusk")
+            read_checkpoint(path)
+        misshapen = Tensor(np.zeros((32, 7, 3, 3), np.float32))
+        save_model(path, {**params, "encoder.conv1.w": misshapen}, cfg)
         with pytest.raises(CheckpointError, match=r"encoder.conv1.w has shape \(32, 7, 3, 3\)"):
-            check_params({**params, "encoder.conv1.w": Tensor(np.zeros((32, 7, 3, 3)))},
-                         cfg, "m.lusk")
-        encoder = {n: p for n, p in params.items() if n.startswith("encoder.")}
-        check_params(encoder, cfg, "m.lusk")
+            read_checkpoint(path)
+        save_model(path, {n: p for n, p in params.items() if n.startswith("encoder.")}, cfg)
+        read_checkpoint(path)
         with pytest.raises(CheckpointError, match="keynet.conv1.b has shape None in the"):
-            check_params(encoder, cfg, "m.lusk", required="keynet.")
+            read_checkpoint(path, required="keynet.")
+
+    def test_load_model_rejects_misshapen(self, tmp_path):
+        cfg = small_cfg()
+        params = init_params(cfg, np.random.default_rng(0))
+        params["keynet.head.w"] = Tensor(np.zeros((cfg.k + 1, 64, 1, 1), np.float32))
+        path = tmp_path / "m.lusk"
+        save_model(path, params, cfg)
+        with pytest.raises(CheckpointError, match=r"keynet.head.w has shape \(4, 64, 1, 1\)"):
+            load_model(path)
 
     @pytest.mark.parametrize("slot", [2.0, -1.0, 0.5, float("nan")])
     def test_bad_input_mode_slot_rejected(self, slot, tmp_path):

@@ -170,3 +170,10 @@ class TestDatasetIo:
         path.write_text(f"12.5 A 25.0 B 40.0\n{line}\n")
         with pytest.raises(DatasetError, match="truth.txt:2: malformed"):
             load_truth(path)
+
+    def test_non_utf8_truth_line_is_malformed(self, tmp_path):
+        # the byte sits in a field the parser skips, so decoding alone refuses it
+        path = tmp_path / "truth.txt"
+        path.write_bytes(b"12.5 A 25.0 B 40.0\n12.5 \xff A 25.0 B 40.0\n")
+        with pytest.raises(DatasetError, match="truth.txt:2: malformed"):
+            load_truth(path)

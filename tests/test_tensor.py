@@ -420,7 +420,7 @@ _LINKAGE_OPS = [
     ("sum", lambda a: a.sum(axis=1), [(2, 3)]),
     ("max", lambda a: a.max(axis=1), [(2, 3)]),
     ("reshape", lambda a: a.reshape(3, 2), [(2, 3)]),
-    ("matmul", lambda a, b: a @ b, [(2, 3), (3, 4)]),
+    ("conv2d_1x1", lambda x, w, b: conv2d(x, w, b), [(2, 3, 1, 1), (4, 3, 1, 1), (4,)]),
     ("concat", lambda a, b: concat([a, b], axis=1), [(2, 3), (2, 2)]),
     ("conv2d", lambda x, w, b: conv2d(x, w, b, padding=1),
      [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
@@ -475,7 +475,8 @@ class TestGradcheck:
         ("sub", lambda a, b: ((a - b) * (a - b)).sum(), [(3, 4), (3, 4)]),
         ("instance_norm_batch", lambda a: (instance_norm(a) * Tensor(
             np.random.default_rng(2).random((2, 3, 5, 7)))).sum(), [(2, 3, 5, 7)]),
-        ("matmul", lambda a, b: (a @ b).sum(), [(3, 4), (4, 2)]),
+        ("conv2d_1x1", lambda x, w, b: _square(conv2d(x, w, b)).sum(),
+         [(3, 4, 1, 1), (2, 4, 1, 1), (2,)]),
         ("sigmoid", lambda a: a.sigmoid().sum(), [(5, 5)]),
         ("exp", lambda a: (a * 0.3).exp().sum(), [(4, 4)]),
         ("relu", lambda a: (a + 0.6).relu().sum(), [(4, 4)]),
