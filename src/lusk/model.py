@@ -65,31 +65,28 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
     return Tensor(data, requires_grad=True)
 
 
-def _conv_param(rng, params, name, c_out, c_in, k):
-    params[f"{name}.w"] = glorot_uniform(rng, (c_out, c_in, k, k),
-                                         c_in * k * k, c_out * k * k)
-    params[f"{name}.b"] = Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True)
-
-
-def _cbam_params(rng, params, prefix, channels):
-    hidden = max(channels // CBAM_REDUCTION, 1)
-    _conv_param(rng, params, f"{prefix}.ca1", hidden, channels, 1)
-    _conv_param(rng, params, f"{prefix}.ca2", channels, hidden, 1)
-    _conv_param(rng, params, f"{prefix}.sa", 1, 2, 7)
+def _layers(cfg: ModelConfig):
+    """(name, shape, fan_in, fan_out) of each conv weight `name.w`, in draw
+    order; each has a bias `name.b` of shape[:1]."""
+    c1, c2 = cfg.base_channels, cfg.feature_channels
+    convs = [(f"{trunk}.{conv}", c_out, c_in, 3) for trunk in ("encoder", "keynet")
+             for conv, c_out, c_in in (("conv1", c1, cfg.input_channels), ("conv2", c2, c1))]
+    if cfg.use_cbam:
+        for prefix, channels in (("encoder.cbam1", c1), ("encoder.cbam2", c2)):
+            hidden = max(channels // CBAM_REDUCTION, 1)
+            convs += [(f"{prefix}.ca1", hidden, channels, 1),
+                      (f"{prefix}.ca2", channels, hidden, 1), (f"{prefix}.sa", 1, 2, 7)]
+    convs += [("keynet.head", cfg.k, c2, 1), ("refine.conv1", c1, c2, 3),
+              ("refine.conv2", cfg.input_channels, c1, 3)]
+    return [(name, (c_out, c_in, k, k), c_in * k * k, c_out * k * k)
+            for name, c_out, c_in, k in convs]
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    c1, c2 = cfg.base_channels, cfg.feature_channels
     params: dict[str, Tensor] = {}
-    for trunk in ("encoder", "keynet"):
-        _conv_param(rng, params, f"{trunk}.conv1", c1, cfg.input_channels, 3)
-        _conv_param(rng, params, f"{trunk}.conv2", c2, c1, 3)
-    if cfg.use_cbam:
-        _cbam_params(rng, params, "encoder.cbam1", c1)
-        _cbam_params(rng, params, "encoder.cbam2", c2)
-    _conv_param(rng, params, "keynet.head", cfg.k, c2, 1)
-    _conv_param(rng, params, "refine.conv1", c1, c2, 3)
-    _conv_param(rng, params, "refine.conv2", cfg.input_channels, c1, 3)
+    for name, shape, fan_in, fan_out in _layers(cfg):
+        params[f"{name}.w"] = glorot_uniform(rng, shape, fan_in, fan_out)
+        params[f"{name}.b"] = Tensor(np.zeros(shape[0], dtype=np.float32), requires_grad=True)
     return params
 
 
@@ -288,7 +285,8 @@ def read_checkpoint(path, required=()) -> tuple[dict[str, Tensor], ModelConfig,
         raise CheckpointError(f"{path}: config record lacks {exc.args[0]}") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    shapes = {name: p.shape for name, p in init_params(cfg, np.random.default_rng(0)).items()}
+    shapes = {f"{name}.{kind}": dims for name, shape, _, _ in _layers(cfg)
+              for kind, dims in (("w", shape), ("b", shape[:1]))}
     for name in sorted(records.keys() | {n for n in shapes if n.startswith(required)}):
         got, want = records[name].shape if name in records else None, shapes.get(name)
         if got != want:

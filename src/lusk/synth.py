@@ -184,10 +184,11 @@ def load_truth(path) -> GroundTruth:
             fields = line.decode("utf-8").split()
             if not fields:
                 continue
-            a_at = fields.index("A")
+            if fields[1] != "A":  # nothing stands between the pleura row and A
+                raise ValueError(f"A expected after the pleura row, got {fields[1]!r}")
             b_at = fields.index("B")
             truth.pleura_rows.append(finite_float(fields[0]))
-            truth.a_line_rows.append([finite_float(x) for x in fields[a_at + 1:b_at]])
+            truth.a_line_rows.append([finite_float(x) for x in fields[2:b_at]])
             truth.b_line_cols.append([finite_float(x) for x in fields[b_at + 1:]])
         except (ValueError, IndexError) as exc:
             raise DatasetError(f"{path}:{lineno}: malformed truth line") from exc

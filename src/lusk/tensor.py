@@ -153,9 +153,9 @@ class Tensor:
         e = np.exp(self.data)
         return _op(e, (self,), lambda g: self._accumulate(g * e))
 
-    def relu(self):
-        mask = self.data > 0
-        return _op(np.maximum(self.data, 0.0), (self,), lambda g: self._accumulate(g * mask))
+    def relu(self):  # max(x, 0) > 0 exactly where x > 0, so the output is the mask
+        out = np.maximum(self.data, 0.0)
+        return _op(out, (self,), lambda g: self._accumulate(g * (out > 0)))
 
     def sigmoid(self):
         s = 1.0 / (1.0 + np.exp(-self.data))
@@ -263,11 +263,18 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
+    """Mean squared error over all elements; its graph node keeps a - b alone."""
     if a.shape != b.shape:
         raise ShapeError("mse", a.shape, b.shape)
-    d = a - b
-    return (d * d).mean()
+    d = a.data - b.data
+    scale = np.asarray(1.0 / d.size, d.dtype)
+
+    def backward(g):
+        t = np.broadcast_to(g * scale, d.shape) * d
+        a._accumulate(t + t)
+        b._accumulate(-(t + t))
+
+    return _op((d * d).sum() * scale, (a, b), backward)
 
 
 # -- convolution and friends -----------------------------------------------------
@@ -290,9 +297,16 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold,
     du, dv = shifts[-1][1:3]
     hq, wq = gy + du, gz + dv  # hq * s >= h + 2p, likewise wq
     m = n * hq * wq - du * wq - dv  # one past the last valid output
-    ph = np.zeros((c, n, hq * s, wq * s), x.dtype)  # padded; rebinding frees it at s=2
-    ph[:, :, p:p + h, p:p + wd] = x.data.swapaxes(0, 1)
-    ph = ph.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, c, -1)
+
+    def phases():  # built again by backward: the graph keeps x.data, not this copy
+        ph = np.zeros((s, s, c, n, hq, wq), x.dtype)
+        for a, e in np.ndindex(s, s):  # row y of phase (a, e) holds x row y*s + a - p
+            i, j = (a - p) % s, (e - p) % s  # its first x row and column
+            part = x.data[:, :, i::s, j::s].swapaxes(0, 1)
+            y, z = (i + p - a) // s, (j + p - e) // s
+            ph[a, e, :, :, y:y + part.shape[2], z:z + part.shape[3]] = part
+        return ph.reshape(s * s, c, -1)
+
     kernels = w.data.transpose(2, 3, 0, 1).reshape(kh * kw, o * c)
     kernels = kernels if fold is None else fold @ kernels
     dtype, groups = np.result_type(x.data, w.data), []
@@ -303,17 +317,18 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold,
         blk = min(GATHER_BYTES // x.data.itemsize, len(kmat) * m) // len(kmat.T)
         groups.append((outs, rows, kmat, offs, max(1, blk) if len(offs) > 1 else m))
 
-    def columns(offs, lo, blk):  # the group's slices of ph, stacked in K unless there is one
+    def columns(ph, offs, lo, blk):  # the group's slices of ph, stacked in K unless there is one
         cols = [ph[phase, :, off:off + m][:, lo:lo + blk] for phase, off, _ in offs]
         return cols[0] if len(cols) == 1 else np.concatenate(cols)
 
-    out = np.zeros((ga * gb, o, m), dtype)
+    ph, out = phases(), np.zeros((ga * gb, o, m), dtype)
     for outs, rows, kmat, offs, blk in groups:
         for lo in range(0, m, blk):
             if len(offs) == 1:  # one block, added into phases other shifts also feed
-                out[outs] += (kmat @ columns(offs, lo, blk)).reshape(-1, o, m)
+                out[outs] += (kmat @ columns(ph, offs, lo, blk)).reshape(-1, o, m)
             else:  # conv2d's taps, written into phase 0, which is theirs alone
-                np.matmul(kmat, columns(offs, lo, blk), out=out[outs.start, :, lo:lo + blk])
+                np.matmul(kmat, columns(ph, offs, lo, blk), out=out[outs.start, :, lo:lo + blk])
+    del ph  # before the output copy
     view, steps = (n, o, gy, ga, gz, gb), (hq * wq, m, wq, gb * o * m, 1, o * m)
     out_data = as_strided(out, view, [out.itemsize * k for k in steps],
                           writeable=False).copy().reshape(n, o, gy * ga, gz * gb)
@@ -322,11 +337,11 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold,
     def backward(g):
         go = np.zeros((ga * gb, o, m), g.dtype)
         as_strided(go, view, [go.itemsize * k for k in steps])[...] = g.reshape(view)
-        gtaps = np.zeros((kh * kw, o * c), dtype)
+        gtaps, ph = np.zeros((kh * kw, o * c), dtype), phases()
         gph = np.zeros(ph.shape, dtype) if x.requires_grad else None
         for outs, rows, kmat, offs, blk in groups:
             gs = go[outs].reshape(-1, m)
-            gk = sum(gs[:, lo:lo + blk] @ columns(offs, lo, blk).T for lo in range(0, m, blk))
+            gk = sum(gs[:, lo:lo + blk] @ columns(ph, offs, lo, blk).T for lo in range(0, m, blk))
             for k, (phase, off, _) in enumerate(offs if gph is not None else ()):
                 gph[phase, :, off:off + m] += kmat[:, k * c:k * c + c].T @ gs
             gk = gk.reshape(-1, len(offs), c).swapaxes(0, 1).reshape(-1, o * c)

@@ -521,6 +521,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=r"keynet.head.w has shape \(4, 64, 1, 1\)"):
             load_model(path)
 
+    @pytest.mark.parametrize("use_cbam", [False, True])
+    def test_load_draws_no_random_numbers(self, use_cbam, tmp_path, monkeypatch):
+        # the parameter shapes follow from the config alone
+        cfg = small_cfg(use_cbam=use_cbam)
+        params = init_params(cfg, np.random.default_rng(0))
+        path = tmp_path / "m.lusk"
+        save_model(path, params, cfg)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(model, "glorot_uniform", no_draws)
+        loaded_params, loaded_cfg = load_model(path)
+        assert loaded_cfg == cfg and list(loaded_params) == list(params)
+
     @pytest.mark.parametrize("slot", [2.0, -1.0, 0.5, float("nan")])
     def test_bad_input_mode_slot_rejected(self, slot, tmp_path):
         # the numbers a float32 header's input_mode slot held are no mode:

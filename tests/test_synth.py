@@ -163,6 +163,15 @@ class TestDatasetIo:
         with pytest.raises(DatasetError, match="truth.txt:1"):
             load_truth(path)
 
+    @pytest.mark.parametrize("line", ["12.5 junk 7 A 25.0 B 40.0", "12.5 B 40.0 A 25.0",
+                                      "12.5 B 40.0"])
+    def test_fields_out_of_place_are_malformed(self, line, tmp_path):
+        # only A may follow the pleura row, and B comes after A
+        path = tmp_path / "truth.txt"
+        path.write_text(f"12.5 A 25.0 B 40.0\n{line}\n")
+        with pytest.raises(DatasetError, match="truth.txt:2: malformed"):
+            load_truth(path)
+
     @pytest.mark.parametrize("line", ["nan A 25.0 B 40.0", "12.5 A inf B 40.0",
                                       "12.5 A 25.0 B -inf"])
     def test_non_finite_truth_value_is_malformed(self, line, tmp_path):

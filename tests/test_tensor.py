@@ -334,7 +334,61 @@ class TestInstanceNormMemory:
         assert peak < 6 * x.data.nbytes
 
 
+class TestGraphMemory:
+    """What a graph node keeps between forward and backward: only what its
+    backward reads and the graph does not hold already."""
+
+    @staticmethod
+    def _held(op, *args):
+        tracemalloc.start()
+        try:
+            out = op(*args)
+            return out, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    def test_conv_keeps_its_output_not_the_padded_phases(self):
+        # the desk encoder.conv1 shape; the padded phases of x are 1.33x the output
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((32, 10, 64, 64)).astype(np.float32))
+        w = Tensor(rng.standard_normal((32, 10, 3, 3)).astype(np.float32), requires_grad=True)
+        out, held = self._held(lambda: conv2d(x, w, _zero_bias(w), stride=2, padding=1))
+        assert out.requires_grad
+        assert held < 1.1 * out.data.nbytes, held / out.data.nbytes
+
+    def test_relu_keeps_its_output_and_no_mask(self):
+        x = Tensor(np.random.default_rng(0).standard_normal((32, 32, 32, 32)).astype(np.float32),
+                   requires_grad=True)
+        out, held = self._held(x.relu)
+        assert held < 1.1 * out.data.nbytes, held / out.data.nbytes
+
+    def test_mse_keeps_one_difference(self):
+        rng = np.random.default_rng(0)
+        a, b = (Tensor(rng.random((32, 10, 64, 64)).astype(np.float32), requires_grad=True)
+                for _ in range(2))
+        _, held = self._held(mse, a, b)
+        assert held < 1.1 * a.data.nbytes, held / a.data.nbytes
+
+
 class TestBackward:
+    def test_relu_gradient_only_where_the_input_is_positive(self):
+        x = t([-1.0, -0.0, 0.0, np.nan, 1e-300, 2.0])
+        x.relu().sum().backward()
+        assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+
+    def test_mse_is_the_mean_of_squared_differences_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        a, b = (Tensor(rng.random((4, 3, 8, 8)).astype(np.float32), requires_grad=True)
+                for _ in range(2))
+        loss = mse(a, b)
+        loss.backward()
+        got = loss.data, a.grad, b.grad
+        d = a - b
+        loss = (d * d).mean()
+        loss.backward()
+        for x, y in zip(got, (loss.data, a.grad, b.grad)):
+            assert x.dtype == y.dtype == np.float32 and np.array_equal(x, y)
+
     def test_sum_of_squares(self):
         x = t([1.0, 2.0, 3.0])
         (x * x).sum().backward()

@@ -11,6 +11,7 @@ from lusk import train as training
 from lusk.fusion import FusionConfig
 from lusk.model import ModelConfig, load_model, preprocess_frame
 from lusk.synth import SceneSpec, generate
+from lusk.tensor import Adam, Tensor, mse
 from lusk.train import (PairSamplingError, TrainConfig, compute_stacks, lr_at,
                         pretrain_encoder, sample_pairs, train, write_loss_csv)
 from oracles import sample_pairs_naive
@@ -315,6 +316,29 @@ class TestTrain:
         with pytest.raises(ValueError, match="ssim_threshold"):
             train([small_video], tiny_model_cfg(), FusionConfig(),
                   TrainConfig(ssim_threshold=0.0), pair_count=4)
+
+
+def test_desk_step_peak_allocation():
+    # one desk step (64 px, k=5, batch 32, seed 0) as train.train takes it;
+    # 131.5 MB here while each conv kept its padded input phases until
+    # backward, relu a mask and mse two differences, 94.1 MB without them
+    video, _ = generate(SceneSpec(frames=33, size=64, seed=0))
+    cfg = ModelConfig(input_size=64, k=5)
+    (stacks,) = compute_stacks([video], cfg, FusionConfig())
+    params = model.init_params(cfg, np.random.default_rng(0))
+    opt = Adam(params)
+    tracemalloc.start()
+    try:
+        src, tgt = Tensor(stacks[:32]), Tensor(stacks[1:])
+        loss = mse(model.reconstruct(src, tgt, params, cfg), tgt)
+        loss.item()
+        loss.backward()
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in params.values())
+    assert peak < 100e6, peak / 1e6
 
 
 class TestLossCsv:
