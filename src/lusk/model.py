@@ -167,7 +167,7 @@ def transport(phi_s: Tensor, phi_t: Tensor, h_s: Tensor, h_t: Tensor) -> Tensor:
     return (1.0 - h_s) * (1.0 - h_t) * phi_s + h_t * phi_t
 
 
-def refine(phi: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+def refine(phi: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Decoder: two nearest-2x upsample + 3x3 conv stages back to input
     resolution (each one upsample_conv2d, which builds no upsampled
     intermediate), instance norm and ReLU between them, sigmoid output in
@@ -193,7 +193,7 @@ def reconstruct(stack_s: Tensor, stack_t: Tensor, params: dict[str, Tensor],
     rows_t, cols_t = keynet(stack_t, params, cfg)
     h_s = render_heatmaps(rows_s, cols_s, phi_t.shape[2], cfg.heatmap_sigma)
     h_t = render_heatmaps(rows_t, cols_t, phi_t.shape[2], cfg.heatmap_sigma)
-    return refine(transport(phi_s, phi_t, h_s, h_t), params, cfg)
+    return refine(transport(phi_s, phi_t, h_s, h_t), params)
 
 
 def cell_to_pixel(cell: np.ndarray, stride: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import os
 import struct
@@ -20,7 +19,7 @@ from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_MAGIC = b"LUSK"
 CHECKPOINT_VERSION = 3  # v3 models keep their config as text; v1 and v2 files are refused
-GATHER_BYTES = 1 << 20  # a gathered conv column block holds at most this, nor more than its output
+GATHER_BYTES = 1 << 20  # a conv column block, gathered or of stacked kernel rows, holds at most this
 
 
 class CheckpointError(ValueError):
@@ -106,10 +105,13 @@ class Tensor:
             return value
         return Tensor(np.asarray(value, dtype=like.dtype))
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, fresh: bool = False):
+        """Add g into self.grad. The first g is copied, since add's backward
+        hands one g to both parents, unless it is fresh: C-order, of self's
+        dtype and held by nothing else."""
         if self.requires_grad:
-            if self.grad is None:  # a copy: add's backward hands one g to both parents
-                self.grad = np.array(g, dtype=self.data.dtype, order="C")
+            if self.grad is None:
+                self.grad = g if fresh else np.array(g, dtype=self.data.dtype, order="C")
             else:
                 self.grad += g
 
@@ -281,76 +283,113 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold, shifts) -> Tensor:
-    """Convolution as a sum of shifted GEMMs, behind conv2d and upsample_conv2d.
+    """Convolution as GEMMs on column blocks, behind conv2d and upsample_conv2d.
 
     x is zero-padded by p and split into its s*s stride phases, each a
     channel-major (c, n*hq*wq) matrix. Shift (phase, u, v, outs, rows) reads
     phase `phase` at column u*wq + v for output phases `outs` through rows
     `rows` of the taps (kh*kw, o*c) or of `fold @ taps`; the last reads
-    farthest. Consecutive shifts with equal `outs` are one GEMM, stacked in K
-    over column blocks of at most GATHER_BYTES and the group's output bytes.
-    Output pixel (i, y*ga + a, z*gb + b) of channel j is [a*gb + b, j,
-    (i*hq + y)*wq + z] of the (phases, o, m) GEMM buffer.
+    farthest. Output pixel (i, y*ga + a, z*gb + b) of channel j is [a*gb + b, j,
+    lead + (i*hq + y)*wq + z] of the (phases, o, lead + m + lead) GEMM buffer.
+
+    Without a fold (conv2d) every shift feeds phase 0, so the taps stack in K:
+    one (o, taps*c) GEMM per block of output columns over the gathered shifted
+    slices, each block at most GATHER_BYTES and the output's bytes. With one
+    (upsample_conv2d) every shift reads phase 0, so the fold rows stack in M:
+    one (rows*o, c) GEMM per block of input columns, at most GATHER_BYTES,
+    whose rows each shift adds into its output phases u*wq + v columns back,
+    in shift order; what falls outside the outputs lands in the margins.
     """
     (n, c, h, wd), (o, _, kh, kw) = x.shape, w.shape
     gy, ga, gz, gb = grid
     du, dv = shifts[-1][1:3]
     hq, wq = gy + du, gz + dv  # hq * s >= h + 2p, likewise wq
-    m = n * hq * wq - du * wq - dv  # one past the last valid output
+    cols, reach = n * hq * wq, du * wq + dv
+    m = cols - reach  # one past the last valid output
+    lead = 0 if fold is None else reach  # the margins of the GEMM buffer
+    offs = [(phase, u * wq + v, outs, rows) for phase, u, v, outs, rows in shifts]
 
-    def phases():  # built again by backward: the graph keeps x.data, not this copy
-        ph = np.zeros((s, s, c, n, hq, wq), x.dtype)
+    def slots(ph, xs):  # each stride phase's rows and columns of xs, and where ph holds them
+        ph = ph.reshape(s, s, c, n, hq, wq)
         for a, e in np.ndindex(s, s):  # row y of phase (a, e) holds x row y*s + a - p
             i, j = (a - p) % s, (e - p) % s  # its first x row and column
-            part = x.data[:, :, i::s, j::s].swapaxes(0, 1)
+            part = xs[:, :, i::s, j::s].swapaxes(0, 1)
             y, z = (i + p - a) // s, (j + p - e) // s
-            ph[a, e, :, :, y:y + part.shape[2], z:z + part.shape[3]] = part
-        return ph.reshape(s * s, c, -1)
+            yield part, ph[a, e, :, :, y:y + part.shape[2], z:z + part.shape[3]]
 
+    def phases():  # built again by backward: the graph keeps x.data, not this copy
+        ph = np.zeros((s * s, c, cols), x.dtype)
+        for part, slot in slots(ph, x.data):
+            slot[...] = part
+        return ph
+
+    dtype = np.result_type(x.data, w.data)
     kernels = w.data.transpose(2, 3, 0, 1).reshape(kh * kw, o * c)
-    kernels = kernels if fold is None else fold @ kernels
-    dtype, groups = np.result_type(x.data, w.data), []
-    for outs, grp in itertools.groupby(shifts, key=lambda shift: shift[3]):
-        offs = [(phase, u * wq + v, rows) for phase, u, v, _, rows in grp]
-        rows = slice(offs[0][2].start, offs[-1][2].stop)  # a group's rows are adjacent
-        kmat = kernels[rows].reshape(len(offs), -1, c).swapaxes(0, 1).reshape(-1, len(offs) * c)
-        blk = min(GATHER_BYTES // x.data.itemsize, len(kmat) * m) // len(kmat.T)
-        groups.append((outs, rows, kmat, offs, max(1, blk) if len(offs) > 1 else m))
+    if fold is None:
+        kmat = kernels.reshape(-1, o, c).swapaxes(0, 1).reshape(o, -1)
+        blk = max(1, min(GATHER_BYTES // x.data.itemsize, o * m) // kmat.shape[1])
+        blk = blk if len(offs) > 1 else m  # one tap is read in place
+    else:
+        kmat = (fold @ kernels).reshape(-1, c)
+        blk = max(1, min(GATHER_BYTES // (len(kmat) * dtype.itemsize), cols))
 
-    def columns(ph, offs, lo, blk):  # the group's slices of ph, stacked in K unless there is one
-        cols = [ph[phase, :, off:off + m][:, lo:lo + blk] for phase, off, _ in offs]
-        return cols[0] if len(cols) == 1 else np.concatenate(cols)
+    def columns(ph, lo):  # conv2d's shifted slices of ph, stacked in K unless there is one
+        parts = [ph[phase, :, off + lo:off + min(lo + blk, m)] for phase, off, _, _ in offs]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    ph, out = phases(), np.zeros((ga * gb, o, m), dtype)
-    for outs, rows, kmat, offs, blk in groups:
+    row = lead + m + lead
+    view, steps = (n, o, gy, ga, gz, gb), (hq * wq, row, wq, gb * o * row, 1, o * row)
+
+    def pixels(buf):  # the output pixels of a (phases, o, row) buffer
+        return as_strided(buf[:, :, lead:], view, [buf.itemsize * k for k in steps])
+
+    ph, out = phases(), np.zeros((ga * gb, o, row), dtype)
+    if fold is None:
         for lo in range(0, m, blk):
-            if len(offs) == 1:  # one block, added into phases other shifts also feed
-                out[outs] += (kmat @ columns(ph, offs, lo, blk)).reshape(-1, o, m)
-            else:  # conv2d's taps, written into phase 0, which is theirs alone
-                np.matmul(kmat, columns(ph, offs, lo, blk), out=out[outs.start, :, lo:lo + blk])
+            np.matmul(kmat, columns(ph, lo), out=out[0, :, lo:lo + blk])
+    else:
+        prods = np.empty((len(fold), o, blk), dtype)  # reused: each fresh 1 MiB array is mapped anew
+        for lo in range(0, cols, blk):
+            xs = ph[0, :, lo:lo + blk]
+            prod = prods[:, :, :xs.shape[1]]
+            np.matmul(kmat, xs, out=prod.reshape(len(kmat), -1))
+            for _, off, outs, rows in offs:
+                out[outs, :, lead + lo - off:lead + lo - off + xs.shape[1]] += prod[rows]
     del ph  # before the output copy
-    view, steps = (n, o, gy, ga, gz, gb), (hq * wq, m, wq, gb * o * m, 1, o * m)
-    out_data = as_strided(out, view, [out.itemsize * k for k in steps],
-                          writeable=False).copy().reshape(n, o, gy * ga, gz * gb)
-    out_data += b.data.reshape(1, o, 1, 1)
+    src, out_data = pixels(out), np.empty(view, dtype)
+    for a, e in np.ndindex(ga, gb):  # a phase at a time, so each copy runs along rows
+        np.add(src[:, :, :, a, :, e], b.data.reshape(1, o, 1, 1), out=out_data[:, :, :, a, :, e])
+    out_data = out_data.reshape(n, o, gy * ga, gz * gb)
 
     def backward(g):
-        go = np.zeros((ga * gb, o, m), g.dtype)
-        as_strided(go, view, [go.itemsize * k for k in steps])[...] = g.reshape(view)
-        gtaps, ph = np.zeros((kh * kw, o * c), dtype), phases()
+        go = np.zeros((ga * gb, o, row), g.dtype)
+        pixels(go)[...] = g.reshape(view)
+        ph = phases()
         gph = np.zeros(ph.shape, dtype) if x.requires_grad else None
-        for outs, rows, kmat, offs, blk in groups:
-            gs = go[outs].reshape(-1, m)
-            gk = sum(gs[:, lo:lo + blk] @ columns(ph, offs, lo, blk).T for lo in range(0, m, blk))
-            for k, (phase, off, _) in enumerate(offs if gph is not None else ()):
-                gph[phase, :, off:off + m] += kmat[:, k * c:k * c + c].T @ gs
-            gk = gk.reshape(-1, len(offs), c).swapaxes(0, 1).reshape(-1, o * c)
-            dst, update = (gtaps[rows], gk) if fold is None else (gtaps, fold[rows].T @ gk)
-            dst += update
+        if fold is None:
+            gk = sum(go[0, :, lo:lo + blk] @ columns(ph, lo).T for lo in range(0, m, blk))
+            gtaps = gk.reshape(o, -1, c).swapaxes(0, 1).reshape(-1, o * c)
+            for k, (phase, off, _, _) in enumerate(offs if gph is not None else ()):
+                gph[phase, :, off:off + m] += kmat[:, k * c:k * c + c].T @ go[0]
+        else:
+            gk, gprods = np.zeros(kmat.shape, dtype), np.empty((len(fold), o, blk), dtype)
+            for lo in range(0, cols, blk):  # each block of the shifted g built once
+                xs = ph[0, :, lo:lo + blk]
+                gprod = gprods[:, :, :xs.shape[1]]
+                for _, off, outs, rows in offs:
+                    gprod[rows] = go[outs, :, lead + lo - off:lead + lo - off + xs.shape[1]]
+                gprod = gprod.reshape(len(kmat), -1)
+                gk += gprod @ xs.T
+                if gph is not None:
+                    np.matmul(kmat.T, gprod, out=gph[0, :, lo:lo + blk])
+            gtaps = fold.T @ gk.reshape(len(fold), o * c)
         w._accumulate(gtaps.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
-        if gph is not None:
-            gx = gph.reshape(s, s, c, n, hq, wq).transpose(3, 2, 4, 0, 5, 1)
-            x._accumulate(gx.reshape(n, c, hq * s, wq * s)[:, :, p:p + h, p:p + wd])
+        if gph is not None:  # written once, straight into x's layout
+            del ph
+            gx = np.empty(x.shape, x.dtype)
+            for part, slot in slots(gph, gx):
+                part[...] = slot
+            x._accumulate(gx, fresh=True)
         b._accumulate(g.sum(axis=(0, 2, 3)))
 
     return _op(out_data, (x, w, b), backward)
@@ -439,18 +478,23 @@ def instance_norm(x: Tensor) -> Tensor:
 
     y = (x - mean) * r with r = 1 / sqrt(var + 1e-5) over axes (2, 3); the
     backward is dx = r * (g - mean(g) - y * mean(g * y)) over the same axes.
+    The sums of squares and products are vecdots, which build no temporary.
     """
     if x.ndim != 4:
         raise ShapeError("instance_norm", x.shape)
+    n, c, h, w = x.shape
     y = x.data - x.data.mean(axis=(2, 3), keepdims=True)
-    r = 1.0 / np.sqrt(np.square(y).mean(axis=(2, 3), keepdims=True) + 1e-5)
+    flat = y.reshape(n, c, h * w)
+    r = (1.0 / np.sqrt(np.vecdot(flat, flat) / (h * w) + 1e-5)).reshape(n, c, 1, 1)
     y *= r
 
     def backward(g):
-        gx = g - g.mean(axis=(2, 3), keepdims=True)
-        gx -= y * (g * y).mean(axis=(2, 3), keepdims=True)
+        gy = np.vecdot(g.reshape(n, c, h * w), y.reshape(n, c, h * w)) / (h * w)
+        gx = np.multiply(y, -gy.reshape(n, c, 1, 1), out=np.empty(y.shape, y.dtype))
+        gx += g
+        gx -= g.mean(axis=(2, 3), keepdims=True)
         gx *= r
-        x._accumulate(gx)
+        x._accumulate(gx, fresh=True)
 
     return _op(y, (x,), backward)
 

@@ -180,7 +180,7 @@ def pretrain_encoder(stacks: np.ndarray, model_cfg: model.ModelConfig,
 
     def batch_loss(idx):
         batch = Tensor(stacks[idx])
-        recon = model.refine(model.encode(batch, params, model_cfg), params, model_cfg)
+        recon = model.refine(model.encode(batch, params, model_cfg), params)
         return mse(recon, batch)
 
     epochs = _epochs(opt, stacks.shape[0], batch_loss, cfg, rng, cfg.pretrain_epochs)

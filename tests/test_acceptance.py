@@ -77,7 +77,7 @@ def _composed_gradcheck():
         phi_t = encode(tgt, p, cfg)
         comb_t = render_heatmaps(*keynet(tgt, p, cfg), 4, cfg.heatmap_sigma)
         transported = transport(Tensor(phi_s), phi_t, Tensor(comb_s), comb_t)
-        return mse(refine(transported, p, cfg), tgt)
+        return mse(refine(transported, p), tgt)
 
     return gradcheck(fn, inputs=[params[n] for n in names],
                      tolerance=1e-3, max_entries=6, seed=2)

@@ -187,7 +187,7 @@ class TestRefine:
         params = init_params(cfg, np.random.default_rng(0))
         phi = Tensor(np.random.default_rng(1).random(
             (1, cfg.feature_channels, 16, 16)).astype(np.float32))
-        out = refine(phi, params, cfg)
+        out = refine(phi, params)
         assert out.shape == (1, 10, 64, 64)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
@@ -212,7 +212,7 @@ class TestRefine:
         monkeypatch.setattr(model, "upsample_nearest2x", refused)
         cfg = small_cfg()
         phi = Tensor(np.ones((1, cfg.feature_channels, 16, 16), np.float32))
-        refine(phi, init_params(cfg, np.random.default_rng(0)), cfg)
+        refine(phi, init_params(cfg, np.random.default_rng(0)))
         assert calls == [(16, 16), (32, 32)]
 
 

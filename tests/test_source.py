@@ -101,3 +101,31 @@ def test_every_setting_has_a_reader():
                          for path in sorted(SRC.glob("*.py")) if path.name != "config.py"))
     unread = [key for key in _KEYS if key not in read]
     assert unread == [], f"config keys read only in config.py or a __post_init__: {unread}"
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function.parameter` for each parameter of each def in `source`, other
+    than self, that its body (nested functions included) never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a for a in (*args.posonlyargs, *args.args, args.vararg,
+                                  *args.kwonlyargs, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{node.name}.{a.arg}" for a in params
+                       if a.arg != "self" and a.arg not in read]
+    return unread
+
+
+def test_parameter_reader_sees_reads_in_nested_functions():
+    source = ("def f(self, a, b, *rest, c=0, **kw):\n    def g():\n        return a + kw\n"
+              "    return g\n")
+    assert unread_parameters(source) == ["f.b", "f.rest", "f.c"]
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+              for name in unread_parameters(path.read_text(encoding="utf-8"))]
+    assert unread == [], f"parameters that their function never reads: {unread}"

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lusk import tensor
 from lusk.tensor import (Adam, CheckpointError, ShapeError, Tensor, atomic_open, concat,
                          conv2d, instance_norm, load_tensors, mse, save_tensors,
                          spatial_softmax, stop_gradient, upsample_conv2d,
@@ -257,6 +258,38 @@ class TestUpsampleConvOracleGrid:
                             t(np.zeros(4)))
 
 
+class TestUpsampleConvColumnBlocks:
+    """upsample_conv2d's stacked kernel rows run over column blocks of the
+    padded input; a small GATHER_BYTES makes several, the last one narrower."""
+
+    def test_ragged_blocks_match_composite(self, monkeypatch):
+        widths = []  # of the input columns each block's out= GEMM reads or writes
+
+        def spy(a, b, *args, **kwargs):
+            widths.append(b.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        matmul = np.matmul
+        rng = np.random.default_rng(0)
+        x, w, b = (rng.standard_normal(s) for s in ((2, 3, 5, 7), (4, 3, 3, 3), (4,)))
+        g = rng.standard_normal((2, 4, 10, 14))
+        leaves = [t(a) for a in (x, w, b)]
+        # 50 columns of the 16 * 4 stacked float64 rows; the padded input has 2*7*9
+        monkeypatch.setattr(tensor, "GATHER_BYTES", 50 * 16 * 4 * 8)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", spy)
+            out = upsample_conv2d(*leaves)
+            forward, widths[:] = widths[:], []
+            (out * Tensor(g)).sum().backward()
+        for blocks in (forward, widths):
+            assert len(blocks) >= 3 and blocks[-1] < blocks[0] == max(blocks), blocks
+        want = _upsample_conv_grads(x, w, b, g, _upsample_then_conv)
+        got = (out.data, *(leaf.grad for leaf in leaves))
+        for name, a, r in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
+            assert a.shape == r.shape, name
+            assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
+
+
 class TestUpsampleConvMemory:
     @pytest.mark.parametrize("shape,c_out", [((32, 64, 16, 16), 32), ((32, 32, 32, 32), 10)])
     def test_step_peak_below_the_composite(self, shape, c_out):
@@ -297,6 +330,23 @@ class TestConvMemory:
             tracemalloc.stop()
         assert x.grad is not None and w.grad is not None
         assert peak < 6 * (x.data.nbytes + out.data.nbytes)
+
+    def test_backward_writes_the_input_gradient_once(self):
+        # the desk encoder.conv2 shape at stride 2: the input gradient goes
+        # from its padded stride phases straight into x's layout, with no
+        # padded copy between and no copy after; with both, 3.67x
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((32, 32, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((64, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        out = conv2d(x, w, _zero_bias(w), stride=2, padding=1)
+        tracemalloc.start()
+        try:
+            out.sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None
+        assert peak < 3.3 * (x.data.nbytes + out.data.nbytes), peak / (x.data.nbytes + out.data.nbytes)
 
     @pytest.mark.parametrize("shape,c_out,stride", [((1, 10, 64, 64), 32, 2),
                                                     ((1, 32, 32, 32), 64, 2),
@@ -452,6 +502,34 @@ class TestBackward:
         assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
         a.grad[0] = 7.0
         assert np.array_equal(b.grad, [1.0, 1.0])
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+    def test_conv_input_gradients_kept_without_a_copy_share_nothing(self, order):
+        # x feeds two convs, whose backward hands x a fresh array it keeps,
+        # and an add, whose backward hands x and y one array; either reaches
+        # x first in one of the two orders
+        rng = np.random.default_rng(0)
+        x, y = (rng.standard_normal((2, 3, 6, 6)) for _ in range(2))
+        w1, w2 = (rng.standard_normal((4, 3, 3, 3)) for _ in range(2))
+        b1, b2 = (rng.standard_normal(4) for _ in range(2))
+        g1, g2, g3 = (rng.standard_normal(s) for s in ((2, 4, 3, 3), (2, 4, 12, 12), (2, 3, 6, 6)))
+        paths = (lambda x, p: conv2d(x, p["w1"], p["b1"], stride=2, padding=1) * Tensor(g1),
+                 lambda x, p: upsample_conv2d(x, p["w2"], p["b2"]) * Tensor(g2),
+                 lambda x, p: (x + p["y"]) * Tensor(g3))
+        arrays = {"x": x, "y": y, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
+
+        def grads(fns):
+            p = {name: t(a) for name, a in arrays.items()}
+            sum((fn(p["x"], p).sum() for fn in fns), start=Tensor(0.0)).backward()
+            return {name: leaf.grad for name, leaf in p.items()}
+
+        got = grads([paths[i] for i in order])
+        want = sum(grads([fn])["x"] for fn in paths)
+        assert np.abs(got["x"] - want).max() <= 1e-12 * np.abs(want).max()
+        for name in got:
+            before = {k: g.copy() for k, g in got.items()}
+            got[name] += 1.0
+            assert all(np.array_equal(got[k], before[k]) for k in got if k != name), name
 
     def test_conv_weight_grad_finite_difference(self):
         target = Tensor(np.zeros((1, 2, 4, 4)))

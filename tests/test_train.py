@@ -213,9 +213,9 @@ class TestPretrain:
             built.append(init_params(cfg, rng))
             return built[-1]
 
-        def spy_refine(phi, params, cfg):
+        def spy_refine(phi, params):
             decoded.append({n: p for n, p in params.items() if n.startswith("refine.")})
-            return refine(phi, params, cfg)
+            return refine(phi, params)
 
         def spy_adam(params, lr):
             optimized.append(params)
