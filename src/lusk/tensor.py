@@ -19,7 +19,8 @@ from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_MAGIC = b"LUSK"
 CHECKPOINT_VERSION = 3  # v3 models keep their config as text; v1 and v2 files are refused
-GATHER_BYTES = 1 << 20  # a conv column block, gathered or of stacked kernel rows, holds at most this
+GATHER_BYTES = 1 << 20  # a conv's block buffer, of a side's stacked terms, holds at most this
+_ONE_TERM = ((slice(0, 1), 0, 0, slice(0, 1)),)  # a conv side of one phase and fold row, unshifted
 
 
 class CheckpointError(ValueError):
@@ -282,32 +283,45 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # -- convolution and friends -----------------------------------------------------
 
 
-def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold, shifts) -> Tensor:
+def _gather(arr, side, buf, lo, k):
+    """Columns lo..lo+k of a conv's side as a (rows * channels, k) view, or stacked in buf."""
+    parts = [arr[phase, :, lo + at:lo + at + k] for phase, at, _ in side]
+    return (parts[0] if buf is None else np.concatenate(parts, out=buf[:, :, :k])).reshape(-1, k)
+
+
+def _scatter(arr, side, buf, lo, k, lhs, rhs):
+    """lhs @ rhs into columns lo..lo+k of a conv's side: in place, or from buf term by term."""
+    block = _gather(arr, side, None, lo, k) if buf is None else buf[:, :, :k]
+    np.matmul(lhs, rhs, out=block.reshape(-1, k))
+    for phase, at, rows in side if buf is not None else ():
+        arr[phase, :, lo + at:lo + at + k] += block[rows]
+
+
+def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid,
+                    fold, ins, outs) -> Tensor:
     """Convolution as GEMMs on column blocks, behind conv2d and upsample_conv2d.
 
     x is zero-padded by p and split into its s*s stride phases, each a
-    channel-major (c, n*hq*wq) matrix. Shift (phase, u, v, outs, rows) reads
-    phase `phase` at column u*wq + v for output phases `outs` through rows
-    `rows` of the taps (kh*kw, o*c) or of `fold @ taps`; the last reads
-    farthest. Output pixel (i, y*ga + a, z*gb + b) of channel j is [a*gb + b, j,
-    lead + (i*hq + y)*wq + z] of the (phases, o, lead + m + lead) GEMM buffer.
+    channel-major (c, n*hq*wq) matrix. Output pixel (i, y*ga + a, z*gb + b) of
+    channel j is [a*gb + b, j, lead + (i*hq + y)*wq + z] of the (phases, o, row)
+    output buffer. Term (phases, u, v, rows) pairs GEMM column j with column
+    j + u*wq + v of the input's `phases`, or j - u*wq - v of the output's,
+    through its `rows` of the (out rows * o, in rows * c) kernels fold @ taps.
+    A side's terms take its rows in order, the last reaching farthest.
 
-    Without a fold (conv2d) every shift feeds phase 0, so the taps stack in K:
-    one (o, taps*c) GEMM per block of output columns over the gathered shifted
-    slices, each block at most GATHER_BYTES and the output's bytes. With one
-    (upsample_conv2d) every shift reads phase 0, so the fold rows stack in M:
-    one (rows*o, c) GEMM per block of input columns, at most GATHER_BYTES,
-    whose rows each shift adds into its output phases u*wq + v columns back,
-    in shift order; what falls outside the outputs lands in the margins.
+    Per column block, forward gathers the input side, runs one GEMM and
+    scatters into the output side; backward, its transpose, gathers both, adds
+    gs @ xs.T to the kernels' gradient and scatters k.T @ gs into the input
+    side. A single term is used in place, a stacked side through one buffer
+    reused across blocks, of at most GATHER_BYTES (and, gathered forward, the
+    output's bytes). What falls outside the outputs lands in the margins.
     """
-    (n, c, h, wd), (o, _, kh, kw) = x.shape, w.shape
-    gy, ga, gz, gb = grid
-    du, dv = shifts[-1][1:3]
-    hq, wq = gy + du, gz + dv  # hq * s >= h + 2p, likewise wq
-    cols, reach = n * hq * wq, du * wq + dv
-    m = cols - reach  # one past the last valid output
-    lead = 0 if fold is None else reach  # the margins of the GEMM buffer
-    offs = [(phase, u * wq + v, outs, rows) for phase, u, v, outs, rows in shifts]
+    (n, c, h, wd), (o, _, kh, kw), (gy, ga, gz, gb) = x.shape, w.shape, grid
+    hq, wq = gy + ins[-1][1] + outs[-1][1], gz + ins[-1][2] + outs[-1][2]  # hq*s >= h + 2p
+    cols, lead = n * hq * wq, outs[-1][1] * wq + outs[-1][2]  # lead: the output's margins
+    ins = [(phase, u * wq + v, rows) for phase, u, v, rows in ins]
+    outs = [(phase, lead - u * wq - v, rows) for phase, u, v, rows in outs]
+    span = cols - ins[-1][1]  # GEMM columns
 
     def slots(ph, xs):  # each stride phase's rows and columns of xs, and where ph holds them
         ph = ph.reshape(s, s, c, n, hq, wq)
@@ -323,39 +337,28 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold,
             slot[...] = part
         return ph
 
-    dtype = np.result_type(x.data, w.data)
-    kernels = w.data.transpose(2, 3, 0, 1).reshape(kh * kw, o * c)
-    if fold is None:
-        kmat = kernels.reshape(-1, o, c).swapaxes(0, 1).reshape(o, -1)
-        blk = max(1, min(GATHER_BYTES // x.data.itemsize, o * m) // kmat.shape[1])
-        blk = blk if len(offs) > 1 else m  # one tap is read in place
-    else:
-        kmat = (fold @ kernels).reshape(-1, c)
-        blk = max(1, min(GATHER_BYTES // (len(kmat) * dtype.itemsize), cols))
+    dtype, r_in, r_out = np.result_type(x.data, w.data), ins[-1][2].stop, outs[-1][2].stop
+    kmat = (fold @ w.data.transpose(2, 3, 0, 1).reshape(kh * kw, o * c)).reshape(
+        r_out, r_in, o, c).swapaxes(1, 2).reshape(r_out * o, r_in * c)
 
-    def columns(ph, lo):  # conv2d's shifted slices of ph, stacked in K unless there is one
-        parts = [ph[phase, :, off + lo:off + min(lo + blk, m)] for phase, off, _, _ in offs]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def blocks(*caps):  # the column blocks' width, and a buffer for each stacked side
+        rows = [r_in * c if len(ins) > 1 else 0, r_out * o if len(outs) > 1 else 0]  # 0: in place
+        blk = min([span] + [max(1, cap // (r * dtype.itemsize)) for r, cap in zip(rows, caps) if r])
+        return (blk,
+                [np.empty((r // ch, ch, blk), dtype) if r else None for r, ch in zip(rows, (c, o))])
 
-    row = lead + m + lead
+    row = lead + span
     view, steps = (n, o, gy, ga, gz, gb), (hq * wq, row, wq, gb * o * row, 1, o * row)
 
     def pixels(buf):  # the output pixels of a (phases, o, row) buffer
         return as_strided(buf[:, :, lead:], view, [buf.itemsize * k for k in steps])
 
     ph, out = phases(), np.zeros((ga * gb, o, row), dtype)
-    if fold is None:
-        for lo in range(0, m, blk):
-            np.matmul(kmat, columns(ph, lo), out=out[0, :, lo:lo + blk])
-    else:
-        prods = np.empty((len(fold), o, blk), dtype)  # reused: each fresh 1 MiB array is mapped anew
-        for lo in range(0, cols, blk):
-            xs = ph[0, :, lo:lo + blk]
-            prod = prods[:, :, :xs.shape[1]]
-            np.matmul(kmat, xs, out=prod.reshape(len(kmat), -1))
-            for _, off, outs, rows in offs:
-                out[outs, :, lead + lo - off:lead + lo - off + xs.shape[1]] += prod[rows]
-    del ph  # before the output copy
+    blk, (xbuf, ybuf) = blocks(min(GATHER_BYTES, out.nbytes), GATHER_BYTES)
+    for lo in range(0, span, blk):
+        k = min(blk, span - lo)
+        _scatter(out, outs, ybuf, lo, k, kmat, _gather(ph, ins, xbuf, lo, k))
+    del ph, xbuf, ybuf  # before the output copy
     src, out_data = pixels(out), np.empty(view, dtype)
     for a, e in np.ndindex(ga, gb):  # a phase at a time, so each copy runs along rows
         np.add(src[:, :, :, a, :, e], b.data.reshape(1, o, 1, 1), out=out_data[:, :, :, a, :, e])
@@ -366,26 +369,17 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold,
         pixels(go)[...] = g.reshape(view)
         ph = phases()
         gph = np.zeros(ph.shape, dtype) if x.requires_grad else None
-        if fold is None:
-            gk = sum(go[0, :, lo:lo + blk] @ columns(ph, lo).T for lo in range(0, m, blk))
-            gtaps = gk.reshape(o, -1, c).swapaxes(0, 1).reshape(-1, o * c)
-            for k, (phase, off, _, _) in enumerate(offs if gph is not None else ()):
-                gph[phase, :, off:off + m] += kmat[:, k * c:k * c + c].T @ go[0]
-        else:
-            gk, gprods = np.zeros(kmat.shape, dtype), np.empty((len(fold), o, blk), dtype)
-            for lo in range(0, cols, blk):  # each block of the shifted g built once
-                xs = ph[0, :, lo:lo + blk]
-                gprod = gprods[:, :, :xs.shape[1]]
-                for _, off, outs, rows in offs:
-                    gprod[rows] = go[outs, :, lead + lo - off:lead + lo - off + xs.shape[1]]
-                gprod = gprod.reshape(len(kmat), -1)
-                gk += gprod @ xs.T
-                if gph is not None:
-                    np.matmul(kmat.T, gprod, out=gph[0, :, lo:lo + blk])
-            gtaps = fold.T @ gk.reshape(len(fold), o * c)
+        gk, (blk, (xbuf, gbuf)) = np.zeros(kmat.shape, dtype), blocks(GATHER_BYTES, GATHER_BYTES)
+        for lo in range(0, span, blk):
+            k = min(blk, span - lo)
+            gs = _gather(go, outs, gbuf, lo, k)
+            gk += gs @ _gather(ph, ins, xbuf, lo, k).T
+            if gph is not None:  # xbuf is free again
+                _scatter(gph, ins, xbuf, lo, k, kmat.T, gs)
+        gtaps = fold.T @ gk.reshape(r_out, o, r_in, c).swapaxes(1, 2).reshape(len(fold), o * c)
         w._accumulate(gtaps.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
         if gph is not None:  # written once, straight into x's layout
-            del ph
+            del ph, xbuf, gbuf
             gx = np.empty(x.shape, x.dtype)
             for part, slot in slots(gph, gx):
                 part[...] = slot
@@ -396,10 +390,14 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid, fold,
 
 
 @functools.lru_cache(maxsize=None)
-def _conv_shifts(kh: int, kw: int, s: int):
-    """Tap (i, j) of a kh x kw kernel at stride s reads phase (i%s, j%s) at (i//s, j//s)."""
-    return tuple(((i % s) * s + j % s, i // s, j // s, slice(0, 1), slice(t, t + 1))
-                 for t, (i, j) in enumerate(np.ndindex(kh, kw)))
+def _conv_table(kh: int, kw: int, s: int):
+    """(fold, input terms, output terms) of a kh x kw conv at stride s: tap (i, j),
+    row t = i*kw + j of the identity fold, reads phase (i%s, j%s) at (i//s, j//s)."""
+    fold = np.eye(kh * kw, dtype=np.float32)
+    fold.setflags(write=False)
+    phase = [slice(k, k + 1) for k in range(s * s)]  # stride phase (i%s)*s + j%s
+    return fold, tuple((phase[i % s * s + j % s], i // s, j // s, slice(t, t + 1))
+                       for t, (i, j) in enumerate(np.ndindex(kh, kw))), _ONE_TERM
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -412,33 +410,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     hp, wp = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
     if min(hp, wp) < 1 or b.shape != (o,) or s not in (1, 2) or not kh % 2 == kw % 2 == 1:
         raise ShapeError(f"conv2d (stride {s})", x.shape, w.shape, b.shape)
-    return _polyphase_conv(x, w, b, s, p, (hp, 1, wp, 1), None, _conv_shifts(kh, kw, s))
+    return _polyphase_conv(x, w, b, s, p, (hp, 1, wp, 1), *_conv_table(kh, kw, s))
 
 
-def _upsample_shifts():
-    """(fold, shifts) of a 3x3 conv on the nearest-2x upsampled input.
+def _upsample_table():
+    """(fold, input terms, output terms) of a 3x3 conv on the nearest-2x upsampled input.
 
     Output pixel (2y + a, 2x + b) reads padded input row y + (a + i + 1) // 2
     through kernel row i, and columns likewise; so phase (a, b), buffer row
-    2a + b, is a 2x2 conv. Shift (u, v) feeds 4 phases at the centre, 2 at
-    an edge and 1 at a corner; the stacked fold is (16, 9).
+    2a + b, is a 2x2 conv. Output term (u, v) feeds 4 phases at the centre, 2
+    at an edge and 1 at a corner; the stacked fold is (16, 9).
     """
-    fold, shifts = [], []
+    fold, outs = [], []
     for u, v in np.ndindex(3, 3):
         rows = [a for a in (0, 1) if u - a in (0, 1)]
         cols = [b for b in (0, 1) if v - b in (0, 1)]
-        outs = slice(2 * rows[0] + cols[0], 2 * rows[-1] + cols[-1] + 1,
-                     2 if len(rows) > len(cols) else 1)
+        phases = slice(2 * rows[0] + cols[0], 2 * rows[-1] + cols[-1] + 1,
+                       2 if len(rows) > len(cols) else 1)
         block = [[(a + i + 1) // 2 == u and (b + j + 1) // 2 == v
                   for i in range(3) for j in range(3)] for a in rows for b in cols]
-        shifts.append((0, u, v, outs, slice(len(fold), len(fold) + len(block))))
+        outs.append((phases, u, v, slice(len(fold), len(fold) + len(block))))
         fold += block
     fold = np.array(fold, np.float32)
     fold.setflags(write=False)
-    return fold, tuple(shifts)
+    return fold, _ONE_TERM, tuple(outs)
 
 
-_UPSAMPLE_SHIFTS = _upsample_shifts()
+_UPSAMPLE_TABLE = _upsample_table()
 
 
 def upsample_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -447,7 +445,7 @@ def upsample_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     convs at x's resolution (Shi et al. 2016)."""
     if x.ndim != 4 or w.shape[1:] != (x.shape[1], 3, 3) or b.shape != w.shape[:1]:
         raise ShapeError("upsample_conv2d", x.shape, w.shape, b.shape)
-    return _polyphase_conv(x, w, b, 1, 1, (x.shape[2], 2, x.shape[3], 2), *_UPSAMPLE_SHIFTS)
+    return _polyphase_conv(x, w, b, 1, 1, (x.shape[2], 2, x.shape[3], 2), *_UPSAMPLE_TABLE)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

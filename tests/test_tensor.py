@@ -190,7 +190,7 @@ class TestConvColumnBlocks:
 
         def spy(arrays, *args, **kwargs):
             out = concatenate(arrays, *args, **kwargs)
-            widths.append(out.shape[1])
+            widths.append(out.shape[-1])
             return out
 
         concatenate = np.concatenate
@@ -208,6 +208,35 @@ class TestConvColumnBlocks:
         (out * Tensor(g)).sum().backward()
         for got, want in zip((x.grad, w.grad, b.grad),
                              _conv_grad_oracle(x.data, w.data, g, stride, 1)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-10
+
+    @pytest.mark.parametrize("stride,kernel,c_in,c_out", [(1, 3, 3, 4), (2, 3, 3, 4), (1, 7, 2, 1)])
+    def test_ragged_backward_blocks_match_oracle(self, stride, kernel, c_in, c_out, monkeypatch):
+        # the input gradient is one GEMM per block, its rows stacked over the
+        # taps and added back tap by tap; the last shape is CBAM's spatial gate
+        widths = []  # of the backward's gathered blocks
+
+        def spy(arrays, *args, **kwargs):
+            out = concatenate(arrays, *args, **kwargs)
+            widths.append(out.shape[-1])
+            return out
+
+        concatenate = np.concatenate
+        rng = np.random.default_rng(10 * kernel + stride)
+        x = t(rng.standard_normal((2, c_in, 12, 13)))
+        w = t(rng.standard_normal((c_out, c_in, kernel, kernel)))
+        b = t(rng.standard_normal(c_out))
+        out = conv2d(x, w, b, stride=stride, padding=kernel // 2)
+        g = rng.standard_normal(out.shape)
+        # 40 columns of the kernel * kernel * c_in stacked float64 rows
+        monkeypatch.setattr(tensor, "GATHER_BYTES", 40 * kernel * kernel * c_in * 8)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "concatenate", spy)
+            (out * Tensor(g)).sum().backward()
+        assert len(widths) >= 3 and widths[-1] < widths[0] == max(widths) == 40, widths
+        for got, want in zip((x.grad, w.grad, b.grad),
+                             _conv_grad_oracle(x.data, w.data, g, stride, kernel // 2)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-10
 
