@@ -13,6 +13,7 @@ import functools
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -21,6 +22,7 @@ CHECKPOINT_MAGIC = b"LUSK"
 CHECKPOINT_VERSION = 3  # v3 models keep their config as text; v1 and v2 files are refused
 GATHER_BYTES = 1 << 20  # a conv's block buffer, of a side's stacked terms, holds at most this
 _ONE_TERM = ((slice(0, 1), 0, 0, slice(0, 1)),)  # a conv side of one phase and fold row, unshifted
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS's order
 
 
 class CheckpointError(ValueError):
@@ -108,17 +110,20 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray, fresh: bool = False):
         """Add g into self.grad. The first g is copied, since add's backward
-        hands one g to both parents, unless it is fresh: C-order, of self's
-        dtype and held by nothing else."""
+        hands one g to both parents, unless it is fresh (built by the
+        backward that passes it and held by nothing else) and already
+        C-order of self's dtype."""
         if self.requires_grad:
-            if self.grad is None:
-                self.grad = g if fresh else np.array(g, dtype=self.data.dtype, order="C")
-            else:
+            if self.grad is not None:
                 self.grad += g
+            elif fresh and g.dtype == self.data.dtype and g.flags.c_contiguous:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype, order="C")
 
     # -- elementwise arithmetic ----------------------------------------------
 
-    def _binary(self, other, op_name, fwd, bwd_a, bwd_b):
+    def _binary(self, other, op_name, fwd, bwd_a, bwd_b, fresh=False):
         other = Tensor._lift(other, self)
         try:
             out_data = fwd(self.data, other.data)
@@ -126,8 +131,8 @@ class Tensor:
             raise ShapeError(op_name, self.shape, other.shape)
 
         def backward(g):
-            self._accumulate(_unbroadcast(bwd_a(g, self.data, other.data), self.shape))
-            other._accumulate(_unbroadcast(bwd_b(g, self.data, other.data), other.shape))
+            self._accumulate(_unbroadcast(bwd_a(g, self.data, other.data), self.shape), fresh)
+            other._accumulate(_unbroadcast(bwd_b(g, self.data, other.data), other.shape), fresh)
 
         return _op(out_data, (self, other), backward)
 
@@ -146,7 +151,7 @@ class Tensor:
 
     def __mul__(self, other):
         return self._binary(other, "mul", np.multiply,
-                            lambda g, a, b: g * b, lambda g, a, b: g * a)
+                            lambda g, a, b: g * b, lambda g, a, b: g * a, fresh=True)
 
     __rmul__ = __mul__
 
@@ -154,19 +159,20 @@ class Tensor:
 
     def exp(self):
         e = np.exp(self.data)
-        return _op(e, (self,), lambda g: self._accumulate(g * e))
+        return _op(e, (self,), lambda g: self._accumulate(g * e, fresh=True))
 
     def relu(self):  # max(x, 0) > 0 exactly where x > 0, so the output is the mask
         out = np.maximum(self.data, 0.0)
-        return _op(out, (self,), lambda g: self._accumulate(g * (out > 0)))
+        return _op(out, (self,), lambda g: self._accumulate(g * (out > 0), fresh=True))
 
     def sigmoid(self):
         s = 1.0 / (1.0 + np.exp(-self.data))
-        return _op(s, (self,), lambda g: self._accumulate(g * s * (1.0 - s)))
+        return _op(s, (self,), lambda g: self._accumulate(g * s * (1.0 - s), fresh=True))
 
     def clamp(self, lo: float, hi: float):
         mask = (self.data >= lo) & (self.data <= hi)
-        return _op(np.clip(self.data, lo, hi), (self,), lambda g: self._accumulate(g * mask))
+        return _op(np.clip(self.data, lo, hi), (self,),
+                   lambda g: self._accumulate(g * mask, fresh=True))
 
     # -- reductions ------------------------------------------------------------
 
@@ -274,8 +280,8 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         t = np.broadcast_to(g * scale, d.shape) * d
-        a._accumulate(t + t)
-        b._accumulate(-(t + t))
+        a._accumulate(t + t, fresh=True)
+        b._accumulate(-(t + t), fresh=True)
 
     return _op((d * d).sum() * scale, (a, b), backward)
 
@@ -297,8 +303,48 @@ def _scatter(arr, side, buf, lo, k, lhs, rhs):
         arr[phase, :, lo + at:lo + at + k] += block[rows]
 
 
+_worker = (0, None)  # (pid, executor): the thread a large conv's second task runs on
+
+
+def _both(first, second, threaded: bool):
+    """Run first() here and second() on the worker thread, or here after
+    first() when not threaded; return once both are done. The worker is
+    made on first use, and again in a forked child, which lacks the
+    parent's thread."""
+    global _worker
+    if not threaded:
+        first()
+        second()
+        return
+    if _worker[0] != os.getpid():
+        _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="lusk-conv"))
+    done = _worker[1].submit(second)
+    try:
+        first()
+    finally:
+        done.result()
+
+
+def _halves(task, m: int, threaded: bool):
+    """task(slice(0, m)) here or, threaded, its first half here and its second
+    on the worker."""
+    if not threaded:
+        return task(slice(0, m))
+    _both(lambda: task(slice(0, m // 2)), lambda: task(slice(m // 2, m)), True)
+
+
+def _spare_cpu() -> bool:
+    """Whether a CPU is free for the worker: the process may run on two or
+    more, and OpenBLAS keeps one thread. OpenBLAS runs as many threads as
+    the first positive count among its variables, or else as there are
+    CPUs; two callers into a multi-threaded OpenBLAS wait on each other."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    counts = (os.environ.get(k, "") for k in _BLAS_THREADS)
+    return cpus > 1 and next((int(v) for v in counts if v.isdigit() and int(v) > 0), cpus) == 1
+
+
 def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid,
-                    fold, ins, outs) -> Tensor:
+                    fold, unfold, ins, outs) -> Tensor:
     """Convolution as GEMMs on column blocks, behind conv2d and upsample_conv2d.
 
     x is zero-padded by p and split into its s*s stride phases, each a
@@ -306,8 +352,9 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid,
     channel j is [a*gb + b, j, lead + (i*hq + y)*wq + z] of the (phases, o, row)
     output buffer. Term (phases, u, v, rows) pairs GEMM column j with column
     j + u*wq + v of the input's `phases`, or j - u*wq - v of the output's,
-    through its `rows` of the (out rows * o, in rows * c) kernels fold @ taps.
-    A side's terms take its rows in order, the last reaching farthest.
+    through its `rows` of the (out rows * o, in rows * c) kernels that `fold`
+    makes of the taps (and `unfold` takes back). A side's terms take its rows
+    in order, the last reaching farthest.
 
     Per column block, forward gathers the input side, runs one GEMM and
     scatters into the output side; backward, its transpose, gathers both, adds
@@ -315,6 +362,17 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid,
     side. A single term is used in place, a stacked side through one buffer
     reused across blocks, of at most GATHER_BYTES (and, gathered forward, the
     output's bytes). What falls outside the outputs lands in the margins.
+
+    A conv whose output holds at least 2 * GATHER_BYTES runs as two tasks,
+    one on the worker thread, when a CPU is spare (_spare_cpu). Forward, each
+    copies half the channels into the phases, then runs half the column
+    blocks (all of them in the first task when the output side is stacked,
+    since its adds cross block edges), then copies out half the channels.
+    Backward, one task rebuilds the phases for the weight gradient while the
+    other scatters the input gradient into its phases; then each copies half
+    of that into x's layout. No element is written by both tasks and every
+    sum keeps its order, so the bytes do not depend on the schedule. The
+    worker runs numpy alone, into buffers allocated on this thread.
     """
     (n, c, h, wd), (o, _, kh, kw), (gy, ga, gz, gb) = x.shape, w.shape, grid
     hq, wq = gy + ins[-1][1] + outs[-1][1], gz + ins[-1][2] + outs[-1][2]  # hq*s >= h + 2p
@@ -323,22 +381,27 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid,
     outs = [(phase, lead - u * wq - v, rows) for phase, u, v, rows in outs]
     span = cols - ins[-1][1]  # GEMM columns
 
-    def slots(ph, xs):  # each stride phase's rows and columns of xs, and where ph holds them
+    def slots(ph, xs):  # each stride phase of ph, and its rows and columns that hold xs's
         ph = ph.reshape(s, s, c, n, hq, wq)
         for a, e in np.ndindex(s, s):  # row y of phase (a, e) holds x row y*s + a - p
             i, j = (a - p) % s, (e - p) % s  # its first x row and column
             part = xs[:, :, i::s, j::s].swapaxes(0, 1)
             y, z = (i + p - a) // s, (j + p - e) // s
-            yield part, ph[a, e, :, :, y:y + part.shape[2], z:z + part.shape[3]]
+            yield part, ph[a, e], slice(y, y + part.shape[2]), slice(z, z + part.shape[3])
 
-    def phases():  # built again by backward: the graph keeps x.data, not this copy
-        ph = np.zeros((s * s, c, cols), x.dtype)
-        for part, slot in slots(ph, x.data):
-            slot[...] = part
-        return ph
+    def fill(ph, chans):  # x's channels into the phases, zeros around them
+        for part, phase, rows, at in slots(ph, x.data):
+            phase = phase[chans]
+            phase[:, :, rows, at] = part[chans]
+            phase[:, :, :rows.start] = phase[:, :, rows.stop:] = 0
+            phase[:, :, rows, :at.start] = phase[:, :, rows, at.stop:] = 0
+
+    def unfill(gph, gx, chans):  # the phases' gradient, border dropped, into x's layout
+        for part, phase, rows, at in slots(gph, gx):
+            part[chans] = phase[chans, :, rows, at]
 
     dtype, r_in, r_out = np.result_type(x.data, w.data), ins[-1][2].stop, outs[-1][2].stop
-    kmat = (fold @ w.data.transpose(2, 3, 0, 1).reshape(kh * kw, o * c)).reshape(
+    kmat = fold(w.data.transpose(2, 3, 0, 1).reshape(kh * kw, o * c)).reshape(
         r_out, r_in, o, c).swapaxes(1, 2).reshape(r_out * o, r_in * c)
 
     def blocks(*caps):  # the column blocks' width, and a buffer for each stacked side
@@ -349,40 +412,65 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid,
 
     row = lead + span
     view, steps = (n, o, gy, ga, gz, gb), (hq * wq, row, wq, gb * o * row, 1, o * row)
+    threaded = math.prod(view) * dtype.itemsize >= 2 * GATHER_BYTES and _spare_cpu()
 
     def pixels(buf):  # the output pixels of a (phases, o, row) buffer
         return as_strided(buf[:, :, lead:], view, [buf.itemsize * k for k in steps])
 
-    ph, out = phases(), np.zeros((ga * gb, o, row), dtype)
-    blk, (xbuf, ybuf) = blocks(min(GATHER_BYTES, out.nbytes), GATHER_BYTES)
-    for lo in range(0, span, blk):
-        k = min(blk, span - lo)
-        _scatter(out, outs, ybuf, lo, k, kmat, _gather(ph, ins, xbuf, lo, k))
-    del ph, xbuf, ybuf  # before the output copy
+    ph, out = np.empty((s * s, c, cols), x.dtype), np.zeros((ga * gb, o, row), dtype)
+    _halves(functools.partial(fill, ph), c, threaded)
+    caps = min(GATHER_BYTES, out.nbytes), GATHER_BYTES
+    blk, (xbuf, ybuf) = blocks(*caps)
+    los = range(0, span, blk)
+    cut = (len(los) + 1) // 2 if len(outs) == 1 else len(los)  # the second task's first block
+    split = threaded and cut < len(los)
+    bufs = blocks(*caps)[1] if split else (xbuf, ybuf)
+
+    def forward(los, xbuf, ybuf):
+        for lo in los:
+            k = min(blk, span - lo)
+            _scatter(out, outs, ybuf, lo, k, kmat, _gather(ph, ins, xbuf, lo, k))
+
+    _both(lambda: forward(los[:cut], xbuf, ybuf), lambda: forward(los[cut:], *bufs), split)
+    del ph, xbuf, ybuf, bufs  # before the output copy
     src, out_data = pixels(out), np.empty(view, dtype)
-    for a, e in np.ndindex(ga, gb):  # a phase at a time, so each copy runs along rows
-        np.add(src[:, :, :, a, :, e], b.data.reshape(1, o, 1, 1), out=out_data[:, :, :, a, :, e])
+
+    def interleave(chans):  # a phase at a time, so each copy runs along rows
+        for a, e in np.ndindex(ga, gb):
+            np.add(src[:, chans, :, a, :, e], b.data[chans].reshape(1, -1, 1, 1),
+                   out=out_data[:, chans, :, a, :, e])
+
+    _halves(interleave, o, threaded)
     out_data = out_data.reshape(n, o, gy * ga, gz * gb)
 
     def backward(g):
         go = np.zeros((ga * gb, o, row), g.dtype)
         pixels(go)[...] = g.reshape(view)
-        ph = phases()
-        gph = np.zeros(ph.shape, dtype) if x.requires_grad else None
-        gk, (blk, (xbuf, gbuf)) = np.zeros(kmat.shape, dtype), blocks(GATHER_BYTES, GATHER_BYTES)
-        for lo in range(0, span, blk):
-            k = min(blk, span - lo)
-            gs = _gather(go, outs, gbuf, lo, k)
-            gk += gs @ _gather(ph, ins, xbuf, lo, k).T
-            if gph is not None:  # xbuf is free again
-                _scatter(gph, ins, xbuf, lo, k, kmat.T, gs)
-        gtaps = fold.T @ gk.reshape(r_out, o, r_in, c).swapaxes(1, 2).reshape(len(fold), o * c)
+        gk, (blk, bufs) = np.zeros(kmat.shape, dtype), blocks(GATHER_BYTES, GATHER_BYTES)
+        gph = np.zeros((s * s, c, cols), dtype) if x.requires_grad else None
+        both = threaded and gph is not None
+        other = blocks(GATHER_BYTES, GATHER_BYTES)[1] if both else bufs
+
+        def weight_grad():
+            ph = np.empty((s * s, c, cols), x.dtype)  # built again: the graph keeps x.data
+            fill(ph, slice(None))
+            for lo in range(0, span, blk):
+                k = min(blk, span - lo)
+                gs, xs = _gather(go, outs, bufs[1], lo, k), _gather(ph, ins, bufs[0], lo, k)
+                np.add(gk, gs @ xs.T, out=gk)
+
+        def input_grad():
+            for lo in range(0, span, blk) if gph is not None else ():
+                k = min(blk, span - lo)
+                _scatter(gph, ins, other[0], lo, k, kmat.T, _gather(go, outs, other[1], lo, k))
+
+        _both(weight_grad, input_grad, both)
+        gtaps = unfold(gk.reshape(r_out, o, r_in, c).swapaxes(1, 2).reshape(r_out * r_in, o * c))
         w._accumulate(gtaps.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
-        if gph is not None:  # written once, straight into x's layout
-            del ph, xbuf, gbuf
+        if gph is not None:  # written once, straight into x's layout, once the phases are gone
+            del bufs, other
             gx = np.empty(x.shape, x.dtype)
-            for part, slot in slots(gph, gx):
-                part[...] = slot
+            _halves(functools.partial(unfill, gph, gx), c, both)
             x._accumulate(gx, fresh=True)
         b._accumulate(g.sum(axis=(0, 2, 3)))
 
@@ -391,13 +479,13 @@ def _polyphase_conv(x: Tensor, w: Tensor, b: Tensor, s: int, p: int, grid,
 
 @functools.lru_cache(maxsize=None)
 def _conv_table(kh: int, kw: int, s: int):
-    """(fold, input terms, output terms) of a kh x kw conv at stride s: tap (i, j),
-    row t = i*kw + j of the identity fold, reads phase (i%s, j%s) at (i//s, j//s)."""
-    fold = np.eye(kh * kw, dtype=np.float32)
-    fold.setflags(write=False)
+    """(fold, unfold, input terms, output terms) of a kh x kw conv at stride s:
+    tap (i, j), kernel row t = i*kw + j, reads phase (i%s, j%s) at (i//s, j//s).
+    Each tap is its own kernel row, so fold and unfold hand the taps on as they are."""
     phase = [slice(k, k + 1) for k in range(s * s)]  # stride phase (i%s)*s + j%s
-    return fold, tuple((phase[i % s * s + j % s], i // s, j // s, slice(t, t + 1))
-                       for t, (i, j) in enumerate(np.ndindex(kh, kw))), _ONE_TERM
+    ins = tuple((phase[i % s * s + j % s], i // s, j // s, slice(t, t + 1))
+                for t, (i, j) in enumerate(np.ndindex(kh, kw)))
+    return np.asarray, np.asarray, ins, _ONE_TERM
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -414,12 +502,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
 
 def _upsample_table():
-    """(fold, input terms, output terms) of a 3x3 conv on the nearest-2x upsampled input.
+    """(fold, unfold, input terms, output terms) of a 3x3 conv on the nearest-2x
+    upsampled input.
 
     Output pixel (2y + a, 2x + b) reads padded input row y + (a + i + 1) // 2
     through kernel row i, and columns likewise; so phase (a, b), buffer row
     2a + b, is a 2x2 conv. Output term (u, v) feeds 4 phases at the centre, 2
-    at an edge and 1 at a corner; the stacked fold is (16, 9).
+    at an edge and 1 at a corner; the 0/1 (16, 9) matrix F that stacks them
+    folds the taps as F @ taps and unfolds a gradient as F.T @ g.
     """
     fold, outs = [], []
     for u, v in np.ndindex(3, 3):
@@ -433,7 +523,7 @@ def _upsample_table():
         fold += block
     fold = np.array(fold, np.float32)
     fold.setflags(write=False)
-    return fold, _ONE_TERM, tuple(outs)
+    return fold.__matmul__, fold.T.__matmul__, _ONE_TERM, tuple(outs)
 
 
 _UPSAMPLE_TABLE = _upsample_table()
@@ -466,7 +556,7 @@ def spatial_softmax(x: Tensor) -> Tensor:
 
     def backward(g):
         dot = (g * p).sum(axis=(2, 3), keepdims=True)
-        x._accumulate(p * (g - dot))
+        x._accumulate(p * (g - dot), fresh=True)
 
     return _op(p, (x,), backward)
 

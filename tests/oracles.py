@@ -1,5 +1,6 @@
 """Reference implementations and checkers that the tests compare lusk against."""
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +142,18 @@ def gradcheck(fn, shapes=None, tolerance: float = 1e-4, eps: float = 1e-5,
         checked += len(idx)
     return GradcheckReport(max_rel_err=max_rel, tolerance=tolerance,
                            passed=max_rel < tolerance, checked=checked)
+
+
+class CountingWorker:
+    """A one-thread pool standing in for tensor's worker, counting the tasks
+    it is handed; shut it down after use."""
+
+    def __init__(self):
+        self.pool, self.tasks = ThreadPoolExecutor(1), 0
+
+    def submit(self, fn):
+        self.tasks += 1
+        return self.pool.submit(fn)
 
 
 def read_report(path) -> EvalReport:

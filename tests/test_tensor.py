@@ -1,4 +1,8 @@
+import os
+import signal
 import struct
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +13,7 @@ from lusk.tensor import (Adam, CheckpointError, ShapeError, Tensor, atomic_open,
                          conv2d, instance_norm, load_tensors, mse, save_tensors,
                          spatial_softmax, stop_gradient, upsample_conv2d,
                          upsample_nearest2x)
-from oracles import gradcheck
+from oracles import CountingWorker, gradcheck
 
 
 def t(data, grad=True):
@@ -395,6 +399,106 @@ class TestConvMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * (x.data.nbytes + out.data.nbytes)
+
+
+class TestTwoTasks:
+    """A large conv runs as two tasks, one on a worker thread, when a CPU is
+    spare; the bytes are those of the serial schedule."""
+
+    @staticmethod
+    def _run(op, shapes, x_grad):
+        rng = np.random.default_rng(len(shapes[0]) + shapes[0][1])
+        x, w, b = (rng.standard_normal(s).astype(np.float32) for s in shapes)
+        leaves = [Tensor(x, requires_grad=x_grad), *(Tensor(a, requires_grad=True) for a in (w, b))]
+        out = op(*leaves)
+        (out * Tensor(rng.standard_normal(out.shape).astype(np.float32))).sum().backward()
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("op,shapes,x_grad,tasks", [
+        # (conv, (x, w, b) shapes, x requires grad, tasks the worker gets:
+        # phases, blocks and output copy, then the two backward rounds)
+        (lambda x, w, b: conv2d(x, w, b, padding=1),
+         [(8, 16, 64, 64), (16, 16, 3, 3), (16,)], True, 5),
+        (lambda x, w, b: conv2d(x, w, b, stride=2, padding=1),
+         [(32, 32, 32, 32), (64, 32, 3, 3), (64,)], True, 5),
+        (lambda x, w, b: conv2d(x, w, b, stride=2, padding=1),
+         [(32, 10, 64, 64), (32, 10, 3, 3), (32,)], False, 3),
+        (upsample_conv2d, [(32, 32, 32, 32), (10, 32, 3, 3), (10,)], True, 4),
+    ], ids=["stride1", "stride2", "input_without_grad", "upsample"])
+    def test_same_bytes_as_serial(self, op, shapes, x_grad, tasks, monkeypatch):
+        def poisoned(*args, **kwargs):  # NaN where neither task writes
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        empty, worker, interval = np.empty, CountingWorker(), sys.getswitchinterval()
+        monkeypatch.setattr(tensor, "_spare_cpu", lambda: False)
+        serial = self._run(op, shapes, x_grad)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", poisoned)
+            patch.setattr(tensor, "_spare_cpu", lambda: True)
+            patch.setattr(tensor, "_worker", (os.getpid(), worker))
+            sys.setswitchinterval(1e-6)  # the threads trade the interpreter as often as they can
+            try:
+                threaded = self._run(op, shapes, x_grad)
+            finally:
+                sys.setswitchinterval(interval)
+                worker.pool.shutdown()
+        assert worker.tasks == tasks
+        assert (threaded[1] is None) == (serial[1] is None) == (not x_grad)
+        for a, r in zip(threaded, serial):
+            assert a is r is None or (a.dtype == r.dtype and a.tobytes() == r.tobytes())
+
+    def test_small_conv_stays_on_this_thread(self, monkeypatch):
+        # the keypoint network's widest conv at batch 1 and 64 px writes 128 KiB
+        worker = CountingWorker()
+        monkeypatch.setattr(tensor, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(tensor, "_worker", (os.getpid(), worker))
+        try:
+            self._run(lambda x, w, b: conv2d(x, w, b, stride=2, padding=1),
+                      [(1, 10, 64, 64), (32, 10, 3, 3), (32,)], True)
+        finally:
+            worker.pool.shutdown()
+        assert worker.tasks == 0
+
+    @pytest.mark.parametrize("variables,spare", [
+        ({}, False), ({"OPENBLAS_NUM_THREADS": "1"}, True), ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True)])
+    def test_spare_cpu_only_beside_a_one_thread_blas(self, variables, spare, monkeypatch):
+        # OpenBLAS takes the first positive count of its variables, else every CPU
+        for name in tensor._BLAS_THREADS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in variables.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert tensor._spare_cpu() is spare
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+        assert tensor._spare_cpu() is False
+
+    def test_forked_child_makes_its_own_worker(self, monkeypatch):
+        # a child holds the parent's worker object but not its thread; a task
+        # handed to it would never run
+        monkeypatch.setattr(tensor, "_spare_cpu", lambda: True)
+        shapes = [(8, 16, 64, 64), (16, 16, 3, 3), (16,)]
+        self._run(lambda x, w, b: conv2d(x, w, b, padding=1), shapes, True)
+        assert tensor._worker[0] == os.getpid()
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only after a threaded conv on a worker of its own
+            code = 1
+            try:
+                self._run(lambda x, w, b: conv2d(x, w, b, padding=1), shapes, True)
+                code = 0 if tensor._worker[0] == os.getpid() else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's conv did not finish in 60 s")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestInstanceNormMemory:

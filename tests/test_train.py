@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lusk import fusion, model
+from lusk import fusion, model, tensor
 from lusk import train as training
 from lusk.fusion import FusionConfig
 from lusk.model import ModelConfig, load_model, preprocess_frame
@@ -14,7 +19,7 @@ from lusk.synth import SceneSpec, generate
 from lusk.tensor import Adam, Tensor, mse
 from lusk.train import (PairSamplingError, TrainConfig, compute_stacks, lr_at,
                         pretrain_encoder, sample_pairs, train, write_loss_csv)
-from oracles import sample_pairs_naive
+from oracles import CountingWorker, sample_pairs_naive
 
 
 def tiny_model_cfg(**kw):
@@ -339,6 +344,106 @@ def test_desk_step_peak_allocation():
         tracemalloc.stop()
     assert all(p.grad is not None for p in params.values())
     assert peak < 100e6, peak / 1e6
+
+
+class TestConvWorker:
+    """Large training convs hand half their work to one worker thread; the
+    bytes are the same, and only numpy runs there."""
+
+    # a 2-epoch desk train(); its first argument pins it to one CPU, or is "all"
+    CHILD = """
+import hashlib, os, sys
+if sys.argv[1] != "all":
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from lusk import tensor
+from lusk.fusion import FusionConfig
+from lusk.model import ModelConfig
+from lusk.synth import SceneSpec, generate
+from lusk.train import TrainConfig, train
+video, _ = generate(SceneSpec(seed=0))
+result = train([video], ModelConfig(input_size=64, k=5), FusionConfig(),
+               TrainConfig(epochs=2, seed=0), 200)
+digest = hashlib.sha256()
+for name in sorted(result.params):
+    digest.update(name.encode())
+    digest.update(result.params[name].data.tobytes())
+print(digest.hexdigest(), tensor._worker[1] is not None)
+"""
+
+    def test_desk_bytes_do_not_depend_on_the_worker(self):
+        # both at one OpenBLAS thread, whose count alone changes the bytes;
+        # pinned to one CPU, no worker starts
+        cpus = sorted(os.sched_getaffinity(0))
+        src = str(Path(tensor.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs = [subprocess.Popen([sys.executable, "-c", self.CHILD, arg], env=env, text=True,
+                                 stdout=subprocess.PIPE) for arg in (str(cpus[0]), "all")]
+        (pinned, free) = (run.communicate(timeout=600)[0].split() for run in runs)
+        assert [run.returncode for run in runs] == [0, 0]
+        assert pinned[1] == "False" and free[1] == str(len(cpus) > 1)
+        assert pinned[0] == free[0]
+
+    def test_desk_step_runs_every_traced_function_on_this_thread(self, monkeypatch):
+        # the benchmark's tracer wraps these, and a conv's backward closure,
+        # and keeps one span stack for the process
+        video, _ = generate(SceneSpec(frames=33, size=64, seed=0))
+        cfg = ModelConfig(input_size=64, k=5)
+        (stacks,) = compute_stacks([video], cfg, FusionConfig())
+        params = model.init_params(cfg, np.random.default_rng(0))
+        calls = Counter()  # (name, thread) -> calls
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name, threading.current_thread()] += 1
+                out = fn(*args, **kwargs)
+                if name == "conv2d":
+                    backward = out._backward
+
+                    def traced(g):
+                        calls["conv2d.backward", threading.current_thread()] += 1
+                        backward(g)
+
+                    out._backward = traced
+                return out
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        names = ("encode", "keynet", "render_heatmaps", "transport", "refine", "reconstruct",
+                 "instance_norm", "spatial_softmax", "conv2d")
+        for name in names:
+            spy(model, name)
+        spy(Tensor, "backward")
+        spy(Adam, "step")
+        worker = CountingWorker()
+        monkeypatch.setattr(tensor, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(tensor, "_worker", (os.getpid(), worker))
+        try:
+            src, tgt = Tensor(stacks[:32]), Tensor(stacks[1:])
+            loss = mse(model.reconstruct(src, tgt, params, cfg), tgt)
+            loss.backward()
+            Adam(params).step()
+        finally:
+            worker.pool.shutdown()
+        assert worker.tasks > 0
+        assert {name for name, _ in calls} == {*names, "conv2d.backward", "backward", "step"}
+        assert {thread for _, thread in calls} == {threading.main_thread()}
+
+    def test_batch1_inference_hands_the_worker_nothing(self, monkeypatch):
+        video, _ = generate(SceneSpec(frames=2, size=64, seed=0))
+        cfg = ModelConfig(input_size=64, k=5)
+        params = model.init_params(cfg, np.random.default_rng(0))
+        worker = CountingWorker()
+        monkeypatch.setattr(tensor, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(tensor, "_worker", (os.getpid(), worker))
+        try:
+            keypoints = model.infer_keypoints(video[0], params, cfg, FusionConfig())
+        finally:
+            worker.pool.shutdown()
+        assert keypoints.shape == (5, 2)
+        assert worker.tasks == 0
 
 
 class TestLossCsv:
